@@ -77,6 +77,14 @@ def total_energy(s: ReducedState, p: Params) -> float:
     kinetic terms are floored to zero below phi_floor.  The grid sum uses
     exactly rounded summation so the result is independent of index origin.
     """
+    return _energy(s, p, *_intensity(s, p))
+
+
+def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
+    """total_energy given the state's (Phi, Phidot) from _intensity.
+
+    Full states carry phi, so only a reduced state's energy reads the pair.
+    """
     g = s.grid
     b0, b1, b2, b3 = s.B
     bd1, bd2, bd3 = s.Bdot[1], s.Bdot[2], s.Bdot[3]
@@ -96,7 +104,6 @@ def total_energy(s: ReducedState, p: Params) -> float:
             + 0.5 * (p.e**2) * coupling_sq * s.phi**2
         )
     else:
-        Phi, Phidot = _intensity(s, p)
         low = np.abs(Phi) < p.phi_floor
         quot = np.zeros_like(Phi)
         np.divide(Phidot**2 + deriv_x(Phi, g) ** 2, 8.0 * Phi,
@@ -127,9 +134,11 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
     """
     states = traj.states
     K = len(states)
-    q = np.stack([_charge_and_flux(s, p)[0] for s in states])
-    flux = np.stack([_charge_and_flux(s, p)[1] for s in states])
     g = traj.grid
+    q = np.empty((K, g.n))
+    flux = np.empty((K, g.n))
+    for k, s in enumerate(states):
+        q[k], flux[k] = _charge_and_flux(s, p)
 
     if K >= 3:
         times = np.asarray(traj.times)
@@ -286,7 +295,7 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
         fallback = float(np.mean(np.abs(Phi) < p.phi_floor))
     return {
         "t": float(s.t),
-        "energy": total_energy(s, p),
+        "energy": _energy(s, p, Phi, Phidot),
         "constraint_residual": constraint,
         "min_abs_b0": float(np.min(np.abs(s.B[0]))),
         "min_phi": float(np.min(Phi)),

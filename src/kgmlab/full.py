@@ -69,10 +69,11 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
 
     phi_ddot = deriv_xx(s.phi, g) + (e2 * bsq - p.m**2) * s.phi
 
-    div_b = s.Bdot[0] - deriv_x(s.B[1], g)
+    d_b1 = deriv_x(s.B[1], g)
+    div_b = s.Bdot[0] - d_b1
     b_ddot_i = np.empty((3, g.n))
     b_ddot_i[0] = (
-        deriv_x(deriv_x(s.B[1], g), g)
+        deriv_x(d_b1, g)
         + deriv_x(div_b, g)
         - 2.0 * e2 * s.B[1] * phi_sq
     )

@@ -99,6 +99,14 @@ class Params:
 # Both stencils are the classical second-order centered ones.  They are kept
 # as free functions (not grid methods) because every hot loop in the package
 # calls them and the call sites read better unqualified.
+#
+# They are written as slice stencils: the interior is one whole-slice
+# operation and the two periodic wrap points are filled separately, so no
+# shifted copy of the input is ever allocated.  Each output point is
+# formed in the same IEEE operation order as the periodic-shift definition,
+# (f[j+1] - f[j-1]) / (2h) and ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the
+# results are bit-identical to it, including at n = 2 and n = 4 where the
+# two stencil legs land on the same points.
 
 
 def deriv_x(f: Array, g: Grid1D) -> Array:
@@ -108,12 +116,27 @@ def deriv_x(f: Array, g: Grid1D) -> Array:
     zero over the grid.  Exact for constants everywhere and for linear
     functions away from the periodic wrap.
     """
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * g.h)
+    f = np.asarray(f, dtype=float)
+    out = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0] = f[1] - f[-1]
+    out[-1] = f[0] - f[-2]
+    out /= 2.0 * g.h
+    return out
 
 
 def deriv_xx(f: Array, g: Grid1D) -> Array:
     """Centered second derivative (compact 3-point stencil), periodic."""
-    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (g.h * g.h)
+    f = np.asarray(f, dtype=float)
+    out = np.multiply(f, 2.0)
+    # f[j+1] - 2 f[j]; the last point still holds 2 f[-1] for its wrap
+    np.subtract(f[1:], out[:-1], out=out[:-1])
+    out[-1] = f[0] - out[-1]
+    # ... + f[j-1]
+    out[1:] += f[:-1]
+    out[0] += f[-1]
+    out /= g.h * g.h
+    return out
 
 
 def lorentz_dot(u: Array, v: Array) -> Array:

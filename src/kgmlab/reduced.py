@@ -114,9 +114,14 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     (frequency ~ 1/h^2) that no explicit step at dt ~ h can resolve.  The
     composed form keeps every branch inside the wave cone.
     """
-    g = s.grid
     b0 = _guarded_b0(s, p)
-    gauss = deriv_x(deriv_x(s.B[0], g), g) - deriv_x(s.Bdot[1], g)
+    return _phi(s, p, b0, deriv_x(s.Bdot[1], s.grid))
+
+
+def _phi(s: ReducedState, p: Params, b0: Array, d_bd1: Array) -> Array:
+    """reconstruct_phi given the guarded B_0 and D(dB_1/dt)."""
+    g = s.grid
+    gauss = deriv_x(deriv_x(s.B[0], g), g) - d_bd1
     return (gauss / (2.0 * p.e**2) + s.charge_mean) / b0
 
 
@@ -135,7 +140,13 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array, p: Params) -> Array:
     g = s.grid
     b0 = _guarded_b0(s, p)
     div_b = s.Bdot[0] - deriv_x(s.B[1], g)
-    return (s.B[1] * deriv_x(Phi, g) - div_b * Phi) / b0
+    return _phi_dot(s, Phi, b0, div_b, deriv_x(Phi, g))
+
+
+def _phi_dot(s: ReducedState, Phi: Array, b0: Array, div_b: Array,
+             dPhi: Array) -> Array:
+    """reconstruct_phi_dot given the guarded B_0, div B and D(Phi)."""
+    return (s.B[1] * dPhi - div_b * Phi) / b0
 
 
 def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBundle]:
@@ -145,15 +156,23 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
     accelerations, then Phiddot, and last the B_0 acceleration from the
     differentiated conservation identity.  Returns the (4, n) acceleration
     block and the reconstruction bundle used to produce it.
+
+    The derivatives those steps share (D B_1, D dB_1/dt, D Phi) and the
+    guarded B_0 are formed once per call.
     """
     g = s.grid
     e2 = p.e**2
     b0, b1, b2, b3 = s.B
     bd0, bd1, bd2, bd3 = s.Bdot
 
-    Phi = reconstruct_phi(s, p)
-    Phidot = reconstruct_phi_dot(s, Phi, p)
+    b0_safe = _guarded_b0(s, p)
+    d_b1 = deriv_x(b1, g)
+    d_bd1 = deriv_x(bd1, g)
+    div_b = bd0 - d_b1
+
+    Phi = _phi(s, p, b0_safe, d_bd1)
     dPhi = deriv_x(Phi, g)
+    Phidot = _phi_dot(s, Phi, b0_safe, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
     # Spatial components: box(B_i) - d/dx_i(div B) = -2 e^2 B_i Phi.  The
@@ -162,10 +181,9 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
     # matching piece inside the mixed term at the stencil level (same
     # operator-pairing requirement as in reconstruct_phi); the transverse
     # components have no mixed term and use the compact stencil.
-    div_b = bd0 - deriv_x(b1, g)
     d_div = deriv_x(div_b, g)
     bsq = lorentz_dot(s.B, s.B)
-    b_ddot_1 = deriv_x(deriv_x(b1, g), g) + d_div - 2.0 * e2 * b1 * Phi
+    b_ddot_1 = deriv_x(d_b1, g) + d_div - 2.0 * e2 * b1 * Phi
     b_ddot_2 = deriv_xx(b2, g) - 2.0 * e2 * b2 * Phi
     b_ddot_3 = deriv_xx(b3, g) - 2.0 * e2 * b3 * Phi
 
@@ -180,7 +198,6 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
     # Closure: d/dt of [div(B) Phi + B^mu d_mu Phi] = 0, solved for the
     # B_0 acceleration.  Grouping the remaining terms as `bracket`,
     #   b_ddot_0 = d/dx(dB_1/dt) - bracket / Phi.
-    d_bd1 = deriv_x(bd1, g)
     bracket = (
         div_b * Phidot
         + bd0 * Phidot
@@ -247,11 +264,6 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     if not p.soft_guards:
         out.check_b0_floor(p)
     return out
-
-
-def _fallback_fraction(s: ReducedState, p: Params) -> float:
-    Phi = reconstruct_phi(s, p)
-    return float(np.mean(np.abs(Phi) < p.phi_floor))
 
 
 def run_reduced(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.full import accel_full, run_full, step_full
 from kgmlab.kernel import FullState, Grid1D, GuardViolation, NonFinite, Params
@@ -125,6 +125,22 @@ def test_step_reversal_returns_to_start():
     for dt in (0.01, 0.005):
         back = step_full(step_full(s, dt, p), -dt, p)
         assert state_distance(back, s) <= 1.0 * dt**5
+
+
+@pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
+def test_step_bit_identical_under_reference_stencils(scenario, use_roll_stencils):
+    # matter-packet takes the constrained branch, the matter-free gauge wave
+    # the free one
+    g = Grid1D(n=64)
+    p = Params()
+    s = make_scenario(default_scenario(scenario), p, g)
+    dt = 0.5 * g.h
+    fast = step_full(s, dt, p)
+    use_roll_stencils()
+    ref = step_full(s, dt, p)
+    for name, arr in fast.field_arrays():
+        assert_array_equal(arr, getattr(ref, name))
+    assert fast.charge_mean == ref.charge_mean
 
 
 def test_step_guard_violation_below_floor():

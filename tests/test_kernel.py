@@ -97,6 +97,23 @@ def test_stencils_commute_with_shifts():
         assert_array_equal(op(np.roll(f, 5), g), np.roll(op(f, g), 5))
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 256, 4096])
+def test_slice_stencils_bit_identical_to_periodic_shift(n, roll_stencils):
+    # n = 2 and 4 are the sizes where both stencil legs hit the same points
+    rng = np.random.default_rng(n)
+    g = Grid1D(n=n, length=3.0)
+    floats = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    ints = rng.integers(-1000, 1000, n)
+    before = floats.copy()
+    for op, ref in zip((deriv_x, deriv_xx), roll_stencils):
+        assert_array_equal(op(floats, g), ref(floats, g))
+        assert_array_equal(floats, before)  # input left untouched
+        out = op(ints, g)
+        assert out.dtype == np.float64
+        assert_array_equal(out, ref(ints, g))
+        assert_array_equal(op(list(floats), g), ref(floats, g))
+
+
 def test_stencil_convergence_order_two():
     errs = []
     for n in (64, 128, 256):

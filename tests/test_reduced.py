@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.diagnostics import compare
 from kgmlab.full import run_full, step_full
@@ -196,6 +196,18 @@ def test_accel_degenerate_closure_raises():
     assert np.all(np.isfinite(B_ddot))
 
 
+def test_accel_bundle_bit_identical_to_public_reconstruction():
+    # accel_reduced shares its derivatives between the reconstruction steps;
+    # the public functions recompute them and must agree to the last bit
+    g = Grid1D(n=128)
+    p = Params()
+    s = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
+    _, bundle = accel_reduced(s, p)
+    Phi = reconstruct_phi(s, p)
+    assert_array_equal(bundle.Phi, Phi)
+    assert_array_equal(bundle.Phidot, reconstruct_phi_dot(s, Phi, p))
+
+
 # ---------------------------------------------------------------------------
 # stepping and runs
 # ---------------------------------------------------------------------------
@@ -277,6 +289,25 @@ def test_step_reversal_returns_to_start():
     for dt in (0.01, 0.005):
         back = step_reduced(step_reduced(s0, dt, p), -dt, p)
         assert reduced_distance(back, s0) <= 1.0 * dt**5
+
+
+def test_step_and_run_bit_identical_under_reference_stencils(use_roll_stencils):
+    g = Grid1D(n=64)
+    p = Params()
+    s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
+    dt = comb_dt(0.1, g.h)
+    step = step_reduced(s0, dt, p)
+    traj = run_reduced(s0, dt, 0.1, p, every=3)
+    use_roll_stencils()
+    ref_step = step_reduced(s0, dt, p)
+    ref_traj = run_reduced(s0, dt, 0.1, p, every=3)
+    assert_array_equal(step.B, ref_step.B)
+    assert_array_equal(step.Bdot, ref_step.Bdot)
+    assert len(traj) == len(ref_traj)
+    for a, b in zip(traj.states, ref_traj.states):
+        assert_array_equal(a.B, b.B)
+        assert_array_equal(a.Bdot, b.Bdot)
+    assert traj.extras == ref_traj.extras
 
 
 # ---------------------------------------------------------------------------
