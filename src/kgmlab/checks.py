@@ -28,20 +28,19 @@ from . import cli
 from .carleman import (
     FockBasis,
     build_m,
-    classical_flow,
     coherent_vector,
     evolve,
     ladder_matrices,
-    lift_reduced_state,
     linear_system,
-    polynomialize_reduced,
     readout,
-    recenter,
+    readout_errors,
+    reciprocal_drift,
     riccati_system,
+    tiny_reduced_embedding,
 )
 from .diagnostics import compare, current_residual, observed_order, total_energy
 from .full import run_full
-from .kernel import Grid1D, Params, ReducedState
+from .kernel import Grid1D, Params
 from .reduced import (
     accel_reduced,
     phi_identity_check,
@@ -242,43 +241,15 @@ def _check_ladder_structure() -> tuple[bool, str]:
                 f"linear readout error {lin:.1e} (<= 1e-8)")
 
 
-def _tiny_reduced_state() -> tuple[ReducedState, Params]:
-    g = Grid1D(n=2)
-    s0 = ReducedState(
-        t=0.0,
-        B=np.array([[2.2, 1.8], [0.1, -0.1], [0.05, 0.05], [0.02, -0.02]]),
-        Bdot=np.array([[0.05, -0.05], [-0.1, 0.1], [0.03, 0.03], [0.01, -0.01]]),
-        grid=g,
-        charge_mean=1.0,
-    )
-    return s0, Params()
-
-
 def _check_reduced_embedding() -> tuple[bool, str]:
-    s0, p = _tiny_reduced_state()
-    g = s0.grid
-    sys_ = polynomialize_reduced(g, p)
-    x0 = lift_reduced_state(s0, p).astype(complex)
+    _, sys_, x0 = tiny_reduced_embedding()
 
-    # reciprocal-product invariant along the classical polynomial flow
-    n = g.n
-    drift = 0.0
-    x = x0.copy()
-    for _ in range(500):
-        x = classical_flow(sys_, x, 1.0e-3, 1.0e-3)
-        drift = max(drift, float(np.max(np.abs(x[9 * n:10 * n] * x[0:n] - 1.0))))
+    # reciprocal-product invariants along the classical polynomial flow
+    drift = reciprocal_drift(sys_, x0, 0.5)
     drift_ok = drift <= 1.0e-8
 
     # Fock readout converges toward the classical oracle as the cutoff grows
-    t_end = 0.05
-    oracle = classical_flow(sys_, x0, t_end, 1.0e-4)
-    centered = recenter(sys_, x0)
-    errs = []
-    for cutoff in (1, 2, 3):
-        basis = FockBasis(k=sys_.k, cutoff=cutoff)
-        v = evolve(build_m(centered, basis),
-                   coherent_vector(np.zeros(sys_.k), basis), t_end, dt=1.0e-3)
-        errs.append(float(np.max(np.abs(readout(v, basis) + x0 - oracle))))
+    errs = [err for _, err in readout_errors(sys_, x0, 0.05, (1, 2, 3))]
     conv_ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] <= 1.0e-5
 
     ok = drift_ok and conv_ok

@@ -32,13 +32,13 @@ from .carleman import (
     classical_flow,
     coherent_vector,
     evolve,
-    lift_reduced_state,
     lotka_system,
-    polynomialize_reduced,
     readout,
-    recenter,
+    readout_errors,
+    reciprocal_drift,
     riccati_system,
     rotation_system,
+    tiny_reduced_embedding,
 )
 from .diagnostics import compare, current_residual, observed_order, total_energy
 from .full import run_full
@@ -541,42 +541,13 @@ def _demo_lotka(args: argparse.Namespace) -> int:
 
 
 def _demo_reduced_tiny(args: argparse.Namespace) -> int:
-    # two-point grid: the smallest field theory the embedding can afford
-    g = Grid1D(n=2)
-    p = Params()
-    s0 = ReducedState(
-        t=0.0,
-        B=np.array([[2.2, 1.8], [0.1, -0.1], [0.05, 0.05], [0.02, -0.02]]),
-        Bdot=np.array([[0.05, -0.05], [-0.1, 0.1], [0.03, 0.03], [0.01, -0.01]]),
-        grid=g,
-        charge_mean=1.0,
-    )
-    sys_ = polynomialize_reduced(g, p)
-    x0 = lift_reduced_state(s0, p).astype(complex)
-    oracle = classical_flow(sys_, x0, args.t_end, 1.0e-4)
-
-    # manifold invariant along the classical oracle
-    drift = 0.0
-    x = x0.copy()
-    steps = max(1, math.ceil(args.t_end / 1.0e-3))
-    for _ in range(steps):
-        x = classical_flow(sys_, x, args.t_end / steps, 1.0e-3)
-        n = g.n
-        drift = max(drift,
-                    float(np.max(np.abs(x[9 * n:10 * n] * x[0:n] - 1.0))),
-                    float(np.max(np.abs(x[10 * n:11 * n] * x[8 * n:9 * n] - 1.0))))
-
-    centered = recenter(sys_, x0)
-    print(f"reduced-tiny: n={g.n} vars={sys_.k} t={args.t_end:g}")
+    s0, sys_, x0 = tiny_reduced_embedding()
+    drift = reciprocal_drift(sys_, x0, args.t_end)
+    print(f"reduced-tiny: n={s0.grid.n} vars={sys_.k} t={args.t_end:g}")
     print(f"reciprocal manifold drift along classical flow = {drift:.3e}")
-    for cutoff in range(1, args.cutoff + 1):
-        basis = FockBasis(k=sys_.k, cutoff=cutoff)
-        v = evolve(build_m(centered, basis),
-                   coherent_vector(np.zeros(sys_.k), basis),
-                   args.t_end, dt=1.0e-3)
-        err = float(np.max(np.abs(readout(v, basis) + x0 - oracle)))
-        print(f"cutoff={cutoff}  fock_dim={basis.dim}  "
-              f"max_abs_error_vs_oracle={err:.3e}")
+    cutoffs = range(1, args.cutoff + 1)
+    for cutoff, (dim, err) in zip(cutoffs, readout_errors(sys_, x0, args.t_end, cutoffs)):
+        print(f"cutoff={cutoff}  fock_dim={dim}  max_abs_error_vs_oracle={err:.3e}")
     return 0
 
 

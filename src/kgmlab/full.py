@@ -32,11 +32,12 @@ from .kernel import (
     Array,
     FullState,
     Params,
-    SimulationError,
     Trajectory,
     deriv_x,
     deriv_xx,
     lorentz_dot,
+    rk4,
+    run_trajectory,
 )
 from .scenarios import solve_gauss_constraint, solve_gauss_rate
 
@@ -115,17 +116,8 @@ def _step_matter(s: FullState, dt: float, p: Params) -> FullState:
         phi_ddot, b_ddot_i = accel_full(stage, p)
         return phidot, phi_ddot, bdot_i, b_ddot_i
 
-    y = (s.phi, s.phidot, s.B[1:], s.Bdot[1:])
-    k1 = rhs(s.t, *y)
-    k2 = rhs(s.t + 0.5 * dt, *(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = rhs(s.t + 0.5 * dt, *(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = rhs(s.t + dt, *(a + dt * b for a, b in zip(y, k3)))
-
-    phi, phidot, b_i, bdot_i = (
-        a + (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
-    )
-    return _solved_state(s.t + dt, phi, phidot, b_i, bdot_i, qbar, p, g)
+    y = rk4(rhs, s.t, (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dt)
+    return _solved_state(s.t + dt, *y, qbar, p, g)
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +128,14 @@ def _step_matter(s: FullState, dt: float, p: Params) -> FullState:
 def _step_free(s: FullState, dt: float, p: Params) -> FullState:
     g = s.grid
 
-    def rhs(state: FullState):
-        phi_ddot, b_ddot_i = accel_full(state, p)
-        b_ddot = np.concatenate([deriv_x(state.Bdot[1], g)[None, :], b_ddot_i])
-        return state.phidot, phi_ddot, state.Bdot, b_ddot
+    def rhs(t, phi, phidot, B, Bdot):
+        stage = FullState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=s.charge_mean,
+                          phi=phi, phidot=phidot)
+        phi_ddot, b_ddot_i = accel_full(stage, p)
+        b_ddot = np.concatenate([deriv_x(Bdot[1], g)[None, :], b_ddot_i])
+        return phidot, phi_ddot, Bdot, b_ddot
 
-    def shifted(t, coef, k):
-        return FullState(
-            t=t,
-            B=s.B + coef * k[2],
-            Bdot=s.Bdot + coef * k[3],
-            grid=g,
-            charge_mean=s.charge_mean,
-            phi=s.phi + coef * k[0],
-            phidot=s.phidot + coef * k[1],
-        )
-
-    k1 = rhs(s)
-    k2 = rhs(shifted(s.t + 0.5 * dt, 0.5 * dt, k1))
-    k3 = rhs(shifted(s.t + 0.5 * dt, 0.5 * dt, k2))
-    k4 = rhs(shifted(s.t + dt, dt, k3))
-
-    phi = s.phi + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    phidot = s.phidot + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    B = s.B + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    Bdot = s.Bdot + (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    phi, phidot, B, Bdot = rk4(rhs, s.t, (s.phi, s.phidot, s.B, s.Bdot), dt)
 
     # No re-solve: with phi identically zero the stage derivatives satisfy
     # d/dt [D(D B_0) - D(Bdot_1)] = 0 term by term (the composed stencils
@@ -194,36 +169,8 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     return out
 
 
-def run_full(
-    s0: FullState,
-    dt: float,
-    t_end: float,
-    p: Params,
-    every: int = 1,
-) -> Trajectory:
-    """Integrate to t_end, snapshotting every `every` steps (plus endpoints).
-
-    Snapshot times are s0.t + k*dt with exact integer step counts; t_end
-    must sit on the step comb to within 1e-9.
-    """
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    span = t_end - s0.t
-    n_steps = int(round(span / dt))
-    if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end={t_end!r} is not reachable from t={s0.t!r} in steps of {dt!r}")
-
-    states = [s0.copy()]
-    extras = [snapshot_extras(states[0], p)]
-    s = s0
-    for k in range(1, n_steps + 1):
-        try:
-            s = step_full(s, dt, p)
-        except SimulationError as err:
-            raise type(err)(f"step to t={s.t + dt:g} failed: {err}") from err
-        if k % every == 0 or k == n_steps:
-            states.append(s)
-            extras.append(snapshot_extras(s, p))
-    return Trajectory(states=tuple(states), extras=tuple(extras))
+def run_full(s0: FullState, dt: float, t_end: float, p: Params,
+             every: int = 1) -> Trajectory:
+    """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
+    see kernel.run_trajectory for the step comb and error reporting."""
+    return run_trajectory(step_full, snapshot_extras, s0, dt, t_end, p, every)

@@ -18,7 +18,7 @@ recomputed from the field equations wherever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,9 +75,11 @@ class Params:
     """Model couplings and the two floor guards.
 
     b0_floor guards divisions by B_0 in the reconstruction chain; phi_floor
-    guards divisions by the scalar intensity in the closure.  With
-    soft_guards set, guard trips are recorded and the offending terms are
-    dropped instead of raising.
+    guards divisions by the scalar intensity in the closure.  soft_guards
+    lets a run continue past both: |B_0| is clamped at b0_floor (sign kept)
+    where the reconstruction divides by it, the reduced closure skips its
+    DegenerateClosure raise, and both integrators skip the post-step B_0
+    floor check.  Nothing counts these trips.
     """
 
     e: float = 1.0
@@ -285,3 +287,56 @@ class Trajectory:
 
     def __iter__(self):
         return iter(self.states)
+
+
+# ---------------------------------------------------------------------------
+# time stepping
+
+
+def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array, ...]:
+    """One classical four-stage Runge-Kutta step of the arrays in y.
+
+    rhs(t, *y) returns the rates of y as a tuple of the same length.  Every
+    integrator in the package steps through here, so they all share one
+    operation order: stages a + 0.5*dt*k, update a + (dt/6)*(k1+2k2+2k3+k4).
+    """
+    k1 = rhs(t, *y)
+    k2 = rhs(t + 0.5 * dt, *(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(t + 0.5 * dt, *(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(t + dt, *(a + dt * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+def run_trajectory(step: Callable, extras: Callable, s0: ReducedState,
+                   dt: float, t_end: float, p: Params, every: int) -> Trajectory:
+    """Integrate with step(s, dt, p) to t_end, snapshotting every `every`
+    steps (plus endpoints), each with its extras(s, p) dictionary.
+
+    Snapshot times are s0.t + k*dt with exact integer step counts; t_end
+    must sit on the step comb to within 1e-9.  A SimulationError from a
+    step is re-raised as the same type, naming the time it was stepping to.
+    """
+    if every < 1:
+        raise ValueError("every must be >= 1")
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
+    span = t_end - s0.t
+    n_steps = int(round(span / dt))
+    if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end={t_end!r} is not reachable from t={s0.t!r} in steps of {dt!r}")
+
+    states = [s0.copy()]
+    snap_extras = [extras(states[0], p)]
+    s = s0
+    for k in range(1, n_steps + 1):
+        try:
+            s = step(s, dt, p)
+        except SimulationError as err:
+            raise type(err)(f"step to t={s.t + dt:g} failed: {err}") from err
+        if k % every == 0 or k == n_steps:
+            states.append(s)
+            snap_extras.append(extras(s, p))
+    return Trajectory(states=tuple(states), extras=tuple(snap_extras))

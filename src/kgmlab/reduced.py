@@ -34,10 +34,6 @@ import numpy as np
 
 from .kernel import (
     Array,
-    FullState,
-    Grid1D,
-    GuardViolation,
-    NonFinite,
     Params,
     ReducedState,
     SimulationError,
@@ -45,6 +41,8 @@ from .kernel import (
     deriv_x,
     deriv_xx,
     lorentz_dot,
+    rk4,
+    run_trajectory,
 )
 
 __all__ = [
@@ -231,25 +229,6 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
 # ---------------------------------------------------------------------------
 
 
-def _rk4(s: ReducedState, dt: float, p: Params) -> tuple[Array, Array]:
-    """One classical four-stage step of (B, Bdot); returns the new pair."""
-
-    def rhs(B: Array, Bdot: Array, t: float) -> tuple[Array, Array]:
-        stage = ReducedState(t=t, B=B, Bdot=Bdot, grid=s.grid,
-                             charge_mean=s.charge_mean)
-        acc, _ = accel_reduced(stage, p)
-        return Bdot, acc
-
-    k1B, k1V = rhs(s.B, s.Bdot, s.t)
-    k2B, k2V = rhs(s.B + 0.5 * dt * k1B, s.Bdot + 0.5 * dt * k1V, s.t + 0.5 * dt)
-    k3B, k3V = rhs(s.B + 0.5 * dt * k2B, s.Bdot + 0.5 * dt * k2V, s.t + 0.5 * dt)
-    k4B, k4V = rhs(s.B + dt * k3B, s.Bdot + dt * k3V, s.t + dt)
-
-    B = s.B + (dt / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
-    Bdot = s.Bdot + (dt / 6.0) * (k1V + 2.0 * k2V + 2.0 * k3V + k4V)
-    return B, Bdot
-
-
 def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     """Advance one step of size dt (dt < 0 steps backward).
 
@@ -257,7 +236,14 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     point of the reduced formulation.  The conserved charge mean rides along
     unchanged.
     """
-    B, Bdot = _rk4(s, dt, p)
+
+    def rhs(t: float, B: Array, Bdot: Array) -> tuple[Array, Array]:
+        stage = ReducedState(t=t, B=B, Bdot=Bdot, grid=s.grid,
+                             charge_mean=s.charge_mean)
+        acc, _ = accel_reduced(stage, p)
+        return Bdot, acc
+
+    B, Bdot = rk4(rhs, s.t, (s.B, s.Bdot), dt)
     out = ReducedState(t=s.t + dt, B=B, Bdot=Bdot, grid=s.grid,
                        charge_mean=s.charge_mean)
     out.require_finite()
@@ -266,41 +252,13 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     return out
 
 
-def run_reduced(
-    s0: ReducedState,
-    dt: float,
-    t_end: float,
-    p: Params,
-    every: int = 1,
-) -> Trajectory:
-    """Integrate to t_end, snapshotting every `every` steps (plus endpoints).
-
-    Snapshot times are s0.t + k*dt with exact integer step counts; t_end
-    must sit on the step comb to within 1e-9.
-    """
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    span = t_end - s0.t
-    n_steps = int(round(span / dt))
-    if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end={t_end!r} is not reachable from t={s0.t!r} in steps of {dt!r}")
-
+def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
+                every: int = 1) -> Trajectory:
+    """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
+    see kernel.run_trajectory for the step comb and error reporting."""
     from .diagnostics import snapshot_extras  # deferred: diagnostics imports this module
 
-    states = [s0.copy()]
-    extras = [snapshot_extras(states[0], p)]
-    s = s0
-    for k in range(1, n_steps + 1):
-        try:
-            s = step_reduced(s, dt, p)
-        except SimulationError as err:
-            raise type(err)(f"step to t={s.t + dt:g} failed: {err}") from err
-        if k % every == 0 or k == n_steps:
-            states.append(s)
-            extras.append(snapshot_extras(s, p))
-    return Trajectory(states=tuple(states), extras=tuple(extras))
+    return run_trajectory(step_reduced, snapshot_extras, s0, dt, t_end, p, every)
 
 
 # ---------------------------------------------------------------------------

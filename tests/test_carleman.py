@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -33,9 +34,11 @@ from kgmlab.carleman import (
     lotka_system,
     polynomialize_reduced,
     readout,
+    readout_errors,
     recenter,
     riccati_system,
     rotation_system,
+    tiny_reduced_embedding,
 )
 from kgmlab.kernel import Grid1D, GuardViolation, NonFinite, Params, ReducedState
 from kgmlab.reduced import accel_reduced, reconstruct_phi, reconstruct_phi_dot
@@ -191,6 +194,15 @@ def test_readout_coherent_round_trip_and_vacuum_orthogonal():
         readout(bad, basis)
 
 
+def test_readout_zero_vector_is_vacuum_orthogonal():
+    # 0 amplitude against 0 norm: raise instead of dividing 0/0 into NaN
+    basis = FockBasis(k=2, cutoff=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VacuumOrthogonal, match="vacuum"):
+            readout(np.zeros(basis.dim, dtype=complex), basis)
+
+
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -213,18 +225,28 @@ def test_evolve_linear_flow_matches_exponential():
     assert abs(xi - 0.5 * np.exp(rate)) <= 1e-8  # measured 5.6e-17
 
 
-def test_evolve_staged_path_matches_exponential(monkeypatch):
-    import kgmlab.carleman as mod
+@pytest.mark.parametrize("system, cutoff, x0", [
+    (riccati_system, 8, [0.5]),
+    (lotka_system, 10, [0.3, 0.2]),
+], ids=["riccati", "lotka"])
+def test_evolve_matches_dense_expm(system, cutoff, x0):
+    # non-normal generators, both directions (measured <= 1.7e-16)
+    basis = FockBasis(k=len(x0), cutoff=cutoff)
+    m = build_m(system(), basis)
+    v = silent_coherent(x0, basis)
+    for t in (0.5, -0.5):
+        exact = la.expm(t * m.toarray()) @ v
+        assert np.max(np.abs(evolve(m, v, t) - exact)) <= 1e-14
 
-    basis = FockBasis(k=1, cutoff=8)
-    m = build_m(riccati_system(), basis)
-    v = silent_coherent([0.5], basis)
-    exact = evolve(m, v, 0.5)
-    monkeypatch.setattr(mod, "_EXPM_DIM_LIMIT", 0)
-    staged = evolve(m, v, 0.5, dt=1e-3)
-    assert np.max(np.abs(staged - exact)) <= 1e-10
-    with pytest.raises(ValueError, match="dt"):
-        evolve(m, v, 0.5)
+
+def test_evolve_backward_round_trip():
+    # exp(-tM) exp(tM) = 1 on the anti-Hermitian rotation generator
+    # (measured 2.2e-16 at t = 10)
+    basis = FockBasis(k=2, cutoff=10)
+    m = build_m(rotation_system(), basis)
+    v = silent_coherent([0.4, 0.1], basis)
+    for t in (1.0, 10.0):
+        assert np.max(np.abs(evolve(m, evolve(m, v, t), -t) - v)) <= 1e-13
 
 
 def test_evolve_overflow_raises():
@@ -398,28 +420,8 @@ def test_reduced_tiny_fock_convergence():
     # the embedding of the n=2 closure, recentered at the initial point so
     # the coherent start is the vacuum; readout must approach the classical
     # trajectory as the cutoff grows (measured 8.0e-3 / 4.0e-5 / 1.6e-7)
-    p = Params()
-    g = Grid1D(n=2)
-    B = np.stack([
-        np.array([2.2, 1.8]), np.array([0.1, -0.1]),
-        np.array([0.05, 0.05]), np.array([0.02, -0.02]),
-    ])
-    Bdot = np.stack([
-        np.array([0.05, -0.05]), np.array([-0.1, 0.1]),
-        np.array([0.03, 0.03]), np.array([0.01, -0.01]),
-    ])
-    s = ReducedState(t=0.0, B=B, Bdot=Bdot, grid=g, charge_mean=1.0)
-    sys = polynomialize_reduced(g, p)
-    z0 = lift_reduced_state(s, p)
-    centered = recenter(sys, z0)
-    t_end = 0.05
-    deviation = classical_flow(sys, z0, t_end, 1e-4) - z0
-    errs = []
-    for cutoff in (1, 2, 3):
-        basis = FockBasis(k=sys.k, cutoff=cutoff)
-        m = build_m(centered, basis)
-        v = coherent_vector(np.zeros(sys.k), basis)
-        xi = readout(evolve(m, v, t_end, dt=1e-3), basis)
-        errs.append(float(np.max(np.abs(xi - deviation))))
+    _, sys, z0 = tiny_reduced_embedding()
+    dims, errs = zip(*readout_errors(sys, z0, 0.05, (1, 2, 3)))
+    assert dims == (27, 378, 3654)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-5

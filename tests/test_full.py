@@ -187,18 +187,6 @@ def test_run_zero_span_single_snapshot():
     assert state_distance(traj.states[0], s) == 0.0
 
 
-def test_run_rejects_off_comb_t_end():
-    g = Grid1D(n=32)
-    p = Params()
-    s = make_scenario(default_scenario("vacuum-offset"), p, g)
-    with pytest.raises(ValueError, match="not reachable"):
-        run_full(s, 0.01, 0.015, p)
-    with pytest.raises(ValueError, match="every"):
-        run_full(s, 0.01, 0.1, p, every=0)
-    with pytest.raises(ValueError, match="dt"):
-        run_full(s, 0.0, 0.1, p)
-
-
 def test_run_gauge_wave_full_period():
     # period 2*pi returns the wave to its starting data; measured C = 1.048
     g = Grid1D(n=64)

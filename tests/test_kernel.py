@@ -15,6 +15,7 @@ from kgmlab.kernel import (
     deriv_x,
     deriv_xx,
     lorentz_dot,
+    rk4,
 )
 
 
@@ -124,6 +125,28 @@ def test_stencil_convergence_order_two():
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
         assert 1.9 <= o <= 2.1
+
+
+@pytest.mark.parametrize("dt", [0.1, -0.1])
+def test_rk4_one_step_is_fourth_order_taylor_polynomial(dt):
+    # y' = lam y over a tuple of a real and a complex array: one step is
+    # R(z) y with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and z = lam dt
+    lam_re, lam_c = -1.3, 0.4 + 2.0j
+    y = (np.array([1.0, -2.0, 0.5]), np.array([1.0 + 1.0j, -0.25j]))
+
+    stage_times = []
+
+    def rhs(t, a, b):
+        stage_times.append(t)
+        return lam_re * a, lam_c * b
+
+    out = rk4(rhs, 1.0, y, dt)
+    assert stage_times == [1.0, 1.0 + 0.5 * dt, 1.0 + 0.5 * dt, 1.0 + dt]
+    assert out[0].dtype == np.float64 and out[1].dtype == np.complex128
+    for lam, y0, y1 in zip((lam_re, lam_c), y, out):
+        z = lam * dt
+        r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        assert_allclose(y1, r * y0, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_lorentz_dot_signature():

@@ -259,14 +259,20 @@ def test_run_matter_energy_drift_and_positivity():
     assert min(ex["min_phi"] for ex in traj.extras) >= -1.0 * g.h**2
 
 
-def test_run_rejects_bad_arguments():
+@pytest.mark.parametrize("run, flavor", [
+    (run_full, lambda s: s),
+    (run_reduced, lambda s: s.to_reduced()),
+], ids=["run_full", "run_reduced"])
+def test_run_drivers_reject_bad_arguments(run, flavor):
     g = Grid1D(n=32)
     p = Params()
-    s0 = make_scenario(default_scenario("vacuum-offset"), p, g).to_reduced()
+    s0 = flavor(make_scenario(default_scenario("vacuum-offset"), p, g))
     with pytest.raises(ValueError, match="not reachable"):
-        run_reduced(s0, 0.01, 0.015, p)
+        run(s0, 0.01, 0.015, p)
     with pytest.raises(ValueError, match="every"):
-        run_reduced(s0, 0.01, 0.1, p, every=0)
+        run(s0, 0.01, 0.1, p, every=0)
+    with pytest.raises(ValueError, match="dt"):
+        run(s0, 0.0, 0.1, p)
 
 
 def test_run_attaches_failing_time():
