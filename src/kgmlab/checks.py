@@ -38,8 +38,7 @@ from .carleman import (
     riccati_system,
     tiny_reduced_embedding,
 )
-from .diagnostics import compare, current_residual, observed_order, total_energy
-from .full import run_full
+from .diagnostics import observed_order
 from .kernel import Grid1D, Params
 from .reduced import (
     accel_reduced,
@@ -75,16 +74,7 @@ def _ladder_level(n: int) -> dict[str, float]:
     # stride that does not divide the step count leaves a short final
     # interval whose one-sided time difference pollutes the charge-balance
     # residual unevenly across levels (measured order 1.64 vs 1.96)
-    traj_full = run_full(s0, dt, _T_END, p, every=1)
-    traj_red = run_reduced(s0.to_reduced(), dt, _T_END, p, every=1)
-
-    out: dict[str, float] = {"h": g.h, "dt": dt}
-    out["equivalence"] = compare(traj_full, traj_red).max_rel_linf
-    for tag, traj in (("full", traj_full), ("reduced", traj_red)):
-        energies = np.array([total_energy(s, p) for s in traj.states])
-        out[f"energy_{tag}"] = float(
-            np.max(np.abs(energies - energies[0])) / abs(energies[0]))
-        out[f"current_{tag}"] = float(np.max(np.abs(current_residual(traj, p))))
+    out, traj_red = cli.ladder_level(s0, dt, _T_END, p, every=1)
 
     identity = 0.0
     for s in traj_red.states:

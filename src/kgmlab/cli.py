@@ -42,7 +42,7 @@ from .carleman import (
 )
 from .diagnostics import compare, current_residual, observed_order, total_energy
 from .full import run_full
-from .kernel import FullState, Grid1D, Params, ReducedState, SimulationError
+from .kernel import FullState, Grid1D, Params, ReducedState, SimulationError, Trajectory
 from .reduced import run_reduced
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, default_scenario, make_scenario
 
@@ -53,6 +53,7 @@ __all__ = [
     "FormatVersionMismatch",
     "RunConfig",
     "TruncatedFile",
+    "ladder_level",
     "main",
     "read_snapshot",
     "write_snapshot",
@@ -325,7 +326,11 @@ def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
     n = int(meta["n"])
     rows = int(meta["rows"])
     kind = meta["kind"]
-    expected_rows = _ROW_ORDER_FULL if kind == "full" else _ROW_ORDER_REDUCED
+    expected_rows = {"full": _ROW_ORDER_FULL, "reduced": _ROW_ORDER_REDUCED}.get(kind)
+    if expected_rows is None:
+        raise FormatVersionMismatch(
+            f"snapshot kind {kind!r} is not supported; this reader handles "
+            "'full' and 'reduced'")
     if rows != expected_rows:
         raise FormatVersionMismatch(
             f"{kind} snapshot promises {rows} rows, expected {expected_rows}")
@@ -423,6 +428,30 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# ladder_level keys in convergence.csv column order (after n)
+_LEVEL_KEYS = ("h", "equivalence", "energy_full", "energy_reduced",
+               "current_full", "current_reduced")
+
+
+def ladder_level(s0: FullState, dt: float, t_end: float, p: Params,
+                 every: int) -> tuple[dict[str, float], Trajectory]:
+    """Run both integrators from s0; measure their distance and, per
+    flavor, the relative energy drift and peak charge-balance residual.
+
+    Returns the numbers (keys _LEVEL_KEYS and dt) and the reduced trajectory.
+    """
+    traj_full = run_full(s0, dt, t_end, p, every=every)
+    traj_red = run_reduced(s0.to_reduced(), dt, t_end, p, every=every)
+    out = {"h": s0.grid.h, "dt": dt,
+           "equivalence": compare(traj_full, traj_red).max_rel_linf}
+    for tag, traj in (("full", traj_full), ("reduced", traj_red)):
+        energies = np.array([total_energy(s, p) for s in traj.states])
+        scale = max(abs(energies[0]), 1e-300)
+        out[f"energy_{tag}"] = float(np.max(np.abs(energies - energies[0])) / scale)
+        out[f"current_{tag}"] = float(np.max(np.abs(current_residual(traj, p))))
+    return out, traj_red
+
+
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
@@ -432,22 +461,10 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     if len(levels) < 2:
         raise ConfigError("--levels needs at least two grid sizes")
 
-    rows = []
+    results = []
     for n in levels:
-        level_cfg = replace(cfg, n=n, dt=0.0)
-        g, p, dt, s0 = _prepared_run(level_cfg)
-        traj_full = run_full(s0, dt, cfg.t_end, p, every=cfg.every)
-        traj_red = run_reduced(s0.to_reduced(), dt, cfg.t_end, p, every=cfg.every)
-        equivalence = compare(traj_full, traj_red).max_rel_linf
-        drift = {}
-        residual = {}
-        for tag, traj in (("full", traj_full), ("reduced", traj_red)):
-            energies = np.array([total_energy(s, p) for s in traj.states])
-            scale = max(abs(energies[0]), 1e-300)
-            drift[tag] = float(np.max(np.abs(energies - energies[0])) / scale)
-            residual[tag] = float(np.max(np.abs(current_residual(traj, p))))
-        rows.append((n, g.h, equivalence, drift["full"], drift["reduced"],
-                     residual["full"], residual["reduced"]))
+        _, p, dt, s0 = _prepared_run(replace(cfg, n=n, dt=0.0))
+        results.append(ladder_level(s0, dt, cfg.t_end, p, cfg.every)[0])
 
     header = ("n", "h", "equivalence", "energy_drift_full",
               "energy_drift_reduced", "current_residual_full",
@@ -455,8 +472,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    for n, level in zip(levels, results):
+        writer.writerow([n] + [repr(float(level[key])) for key in _LEVEL_KEYS])
     csv_text = buf.getvalue()
     print(csv_text, end="")
 
@@ -464,10 +481,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "convergence.csv").write_text(csv_text)
 
-    for column, name in ((2, "equivalence"), (3, "energy_full"),
-                         (4, "energy_reduced"), (5, "current_full"),
-                         (6, "current_reduced")):
-        pairs = [(row[1], row[column]) for row in rows]
+    for name in _LEVEL_KEYS[1:]:
+        pairs = [(level["h"], level[name]) for level in results]
         try:
             order = observed_order(pairs)
         except SimulationError as err:

@@ -23,7 +23,10 @@ a number the slice data cannot pin down and the evolution cannot change
 cover the two callers: scenario construction projects out the grid mean
 and applies a caller-chosen additive offset, while stepping re-solves the
 unprojected screened system whose unique solution automatically carries
-the conserved charge mean.
+the conserved charge mean.  Both go through one screened solve: D(D .)
+skips a point, so the even and odd points form two periodic tridiagonal
+systems, and the projected mode superposes two solutions of the same
+system instead of bordering it with the charge defect as an unknown.
 
 Rate construction: differentiating the constraint in time and eliminating
 Bddot_1 through the x-component field equation cancels the stencils
@@ -38,11 +41,9 @@ elliptic solve exists in the planar reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .kernel import (
     Array,
@@ -97,24 +98,7 @@ def default_scenario(name: str) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# periodic stencil operators in sparse form
-
-
-@lru_cache(maxsize=32)
-def _dd_matrix(g: Grid1D) -> sp.csr_matrix:
-    """The composed second derivative D(D .) as a circulant sparse matrix.
-
-    Wide stencil (f[j+2] - 2 f[j] + f[j-2]) / (4 h^2); accumulation handles
-    the n = 4 wraparound (both shifts land on the same column) and n = 2
-    (the matrix is identically zero, matching D = 0 there).
-    """
-    n, h = g.n, g.h
-    offsets = {-2: 0.25, 0: -0.5, 2: 0.25}
-    dd = sp.lil_matrix((n, n))
-    for off, coef in offsets.items():
-        for j in range(n):
-            dd[j, (j + off) % n] += coef / (h * h)
-    return dd.tocsr()
+# periodic stencil solves
 
 
 def _fourier_solve(rhs: Array, g: Grid1D) -> Array:
@@ -144,59 +128,72 @@ def _fourier_solve(rhs: Array, g: Grid1D) -> Array:
     return np.fft.irfft(out, n=n)
 
 
-def _refined_solve(A: sp.csc_matrix, rhs: Array) -> Array:
-    """Sparse LU solve with one step of iterative refinement.
+def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: bool) -> Array:
+    """Solve K x = rhs, K = D(D .) - 2 e^2 Phi, or its mean-projected form.
 
-    The screened operator carries the 1/h^2 stencil against an O(1)
-    screening term, so its condition number grows like n^2; one refinement
-    pass keeps the verified residual near roundoff on fine grids.
+    D(D .) couples j only to j +- 2 and the screening is diagonal, so the
+    even and odd points form two periodic tridiagonal systems, a = 1/(4 h^2)
+    off the diagonal.  They are the two blocks of one banded T that drops
+    each block's wrap corners and takes a off its two end diagonal entries;
+    per block K = T + a e e^T, e the indicator of the ends, which a
+    Sherman-Morrison step adds back.  A block without screening is singular;
+    with none at all, the spectral solve returns the zero-mean response.
+
+    Projected mode returns the zero-mean b with P K b = P rhs (P removes
+    the grid mean) by superposition: with K u = P rhs and K w = 1,
+    b = u - (mean u / mean w) w.  K is conditioned like n^2; one refinement
+    step, its residual taken through the composed stencil, keeps the
+    verified residual near roundoff on fine grids.
     """
-    lu = spla.splu(A)
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - A @ x)
-    return x
+    if not np.any(phi_sq):
+        return _fourier_solve(rhs, g)
+    n, m = g.n, g.n // 2
+    a = 0.25 / (g.h * g.h)
+    screen = 2.0 * p.e**2 * phi_sq
+    if not (np.any(screen[0::2]) and np.any(screen[1::2])):
+        raise SingularOperator("screening intensity vanishes on every even or "
+                               "every odd point; the screened operator is singular")
+    order = np.r_[0:n:2, 1:n:2]  # even points, then odd
+    first, last = [0, m], [m - 1, n - 1]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = a
+    ab[0, m] = ab[2, m - 1] = 0.0  # the two blocks do not couple
+    ab[1] = -2.0 * a - screen[order]
+    ab[1, first + last] -= a
+    corners = np.zeros((n, 2))
+    corners[first, [0, 1]] = corners[last, [0, 1]] = 1.0
 
+    def inverse(r: Array) -> Array:
+        # b ignores the mean of r; removing it first keeps u and w small
+        # enough that their roundoff does not swamp the zero-mean answer
+        cols = np.column_stack([r - r.mean(), np.ones(n)]) if projected else r[:, None]
+        if n == 2:  # D vanishes identically: only the screening is left
+            sol = -cols / screen[:, None]
+        else:
+            yz = solve_banded((1, 1), ab, np.column_stack([cols[order], corners]))
+            y, z = yz[:, :-2], yz[:, -2:]
+            ez = np.diag(z[first] + z[last])
+            y -= z @ (a * (y[first] + y[last]) / (1.0 + a * ez)[:, None])
+            sol = np.empty_like(y)
+            sol[order] = y
+        if projected:
+            return sol[:, 0] - (sol[:, 0].mean() / sol[:, 1].mean()) * sol[:, 1]
+        return sol[:, 0]
 
-def _screened_solve(stencil: sp.csr_matrix, phi_sq: Array, rhs: Array, p: Params, g: Grid1D) -> Array:
-    """Zero-mean b with  P[(stencil - 2 e^2 Phi) b] = P rhs,  P = mean remover.
+    def apply(x: Array) -> Array:
+        return deriv_x(deriv_x(x, g), g) - screen * x
 
-    Solved as a bordered square system with the uniform charge defect as the
-    extra unknown; the border row pins mean(b) = 0.
-    """
-    n = g.n
-    K = stencil - 2.0 * p.e**2 * sp.diags(phi_sq)
-    ones_col = np.full((n, 1), -1.0)
-    border_row = np.full((1, n), 1.0 / n)
-    A = sp.bmat([[K, ones_col], [border_row, None]], format="csc")
-    full_rhs = np.concatenate([rhs, [0.0]])
-    sol = _refined_solve(A, full_rhs)
-    b = sol[:n]
+    x = inverse(rhs)
+    x += inverse(rhs - apply(x))
 
-    resid = K @ b - rhs
-    resid -= resid.mean()
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    if not np.all(np.isfinite(b)) or np.max(np.abs(resid)) > 1e-10 * scale:
-        raise SimulationError(
-            f"projected constraint residual {float(np.max(np.abs(resid))):.3e} "
-            f"exceeds 1e-10 of the source scale {scale:.3e}"
-        )
-    return b
-
-
-def _screened_solve_full(stencil: sp.csr_matrix, phi_sq: Array, rhs: Array, p: Params, g: Grid1D) -> Array:
-    """Unprojected solve of (stencil - 2 e^2 Phi) x = rhs.
-
-    Nonsingular whenever Phi >= 0 is not identically zero (the screening
-    term removes the stencil's kernel modes), so no border is needed and
-    the grid mean of x comes out determined by the data.
-    """
-    K = (stencil - 2.0 * p.e**2 * sp.diags(phi_sq)).tocsc()
-    x = _refined_solve(K, rhs)
-    resid = K @ x - rhs
+    resid = apply(x) - rhs
+    if projected:
+        resid -= resid.mean()
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     if not np.all(np.isfinite(x)) or np.max(np.abs(resid)) > 1e-10 * scale:
+        label = "projected constraint residual" if projected else "screened solve residual"
         raise SimulationError(
-            f"screened solve residual {float(np.max(np.abs(resid))):.3e} "
+            f"{label} {float(np.max(np.abs(resid))):.3e} "
             f"exceeds 1e-10 of the source scale {scale:.3e}"
         )
     return x
@@ -241,20 +238,13 @@ def solve_gauss_constraint(
     phi_sq = phi * phi
     d_bdot1 = deriv_x(np.asarray(bdot_i[0], dtype=float), g)
 
-    if charge_mean is not None:
-        if offset != 0.0:
-            raise ValueError("offset and charge_mean are mutually exclusive")
-        rhs = d_bdot1 - 2.0 * p.e**2 * charge_mean
-        if not np.any(phi_sq):
-            return _fourier_solve(rhs, g)
-        return _screened_solve_full(_dd_matrix(g), phi_sq, rhs, p, g)
-
-    rhs = d_bdot1 + 2.0 * p.e**2 * phi_sq * offset
-    if not np.any(phi_sq):
-        b = _fourier_solve(rhs, g)
+    if charge_mean is None:
+        rhs = d_bdot1 + 2.0 * p.e**2 * phi_sq * offset
+    elif offset != 0.0:
+        raise ValueError("offset and charge_mean are mutually exclusive")
     else:
-        b = _screened_solve(_dd_matrix(g), phi_sq, rhs, p, g)
-    return offset + b
+        rhs = d_bdot1 - 2.0 * p.e**2 * charge_mean
+    return offset + _screened_solve(phi_sq, rhs, p, g, projected=charge_mean is None)
 
 
 def solve_gauss_rate(

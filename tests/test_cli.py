@@ -146,6 +146,19 @@ def test_snapshot_format_version_gate(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("kind", ["Full", "mixed", None])
+def test_snapshot_unknown_kind_rejected(tmp_path, kind):
+    # a reduced-sized payload under a foreign kind must not read as reduced
+    path = tmp_path / "red.bin"
+    write_snapshot(path, packet_state().to_reduced())
+    sidecar = Path(str(path) + ".json")
+    meta = json.loads(sidecar.read_text())
+    meta["kind"] = kind
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FormatVersionMismatch, match=f"kind {kind!r}"):
+        read_snapshot(path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------
