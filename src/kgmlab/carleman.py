@@ -14,6 +14,14 @@ two descriptions agree up to truncation, which is the property the demo
 systems and the tests measure: readout error falls monotonically as the
 occupation cutoff grows.
 
+`FockBasis` stores the truncated space once, as an array of occupation
+rows in lexicographic order (vacuum first) with two index maps per mode,
+`down` and `up`, giving the row one quantum lower or higher (-1 outside
+the truncation).  Every operator is read off these maps: a monomial of F_i
+followed by raise_i sends each row to at most one row, so `build_m`
+assembles M as one row map per monomial, and the coherent vector and the
+readout are array expressions over the rows.
+
 The electromagnetic closure of `reduced` is rational, not polynomial, so
 `polynomialize_reduced` rewrites it on a tiny periodic grid with reciprocal
 auxiliary variables (1/B_0 and 1/Phi, plus the logarithmic rate and slope of
@@ -34,7 +42,7 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+import scipy.sparse.linalg as spla
 
 from .kernel import (
     Array,
@@ -59,6 +67,7 @@ __all__ = [
     "classical_flow",
     "coherent_vector",
     "evolve",
+    "fock_readout",
     "ladder_matrices",
     "lift_reduced_state",
     "linear_system",
@@ -97,12 +106,14 @@ class PolySystem:
 
     terms[i] lists the monomials of dx_i/dt as (coefficient, exponents),
     where exponents is a length-k multi-index.  Coefficients may be complex.
-    `names`, when present, documents the variable ordering.
+    `names`, when present, documents the variable ordering.  The monomials
+    are compiled once, at construction, into the gather form `rhs` evaluates.
     """
 
     k: int
     terms: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
     names: tuple[str, ...] | None = None
+    _gather: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or len(self.terms) != self.k:
@@ -115,6 +126,7 @@ class PolySystem:
                     raise ValueError("exponent vectors must be length-k and nonnegative")
                 if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
                     raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "_gather", _compile_terms(self))
 
     @property
     def max_degree(self) -> int:
@@ -123,7 +135,12 @@ class PolySystem:
 
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
-        return _eval_compiled(_compile_terms(self), np.asarray(x, dtype=complex), self.k)
+        x = np.asarray(x, dtype=complex)
+        out = np.zeros(self.k, dtype=complex)
+        for rows, coefs, idx in self._gather:
+            vals = coefs if idx.shape[1] == 0 else coefs * np.prod(x[idx], axis=1)
+            np.add.at(out, rows, vals)
+        return out
 
     def to_text(self) -> str:
         """One monomial per line: target variable, coefficient, exponent vector."""
@@ -178,21 +195,12 @@ def _compile_terms(sys: PolySystem):
     return out
 
 
-def _eval_compiled(compiled, x: Array, k: int) -> Array:
-    out = np.zeros(k, dtype=complex)
-    for rows, coefs, idx in compiled:
-        vals = coefs if idx.shape[1] == 0 else coefs * np.prod(x[idx], axis=1)
-        np.add.at(out, rows, vals)
-    return out
-
-
 def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array:
     """Endpoint of a classical four-stage integration of the system.
 
     The step is shrunk so an integer number of steps lands exactly on t_end;
     used as the high-accuracy oracle for the Fock-space readout.
     """
-    compiled = _compile_terms(sys)
     x = np.asarray(x0, dtype=complex).copy()
     if t_end == 0.0:
         return x
@@ -200,7 +208,7 @@ def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array
     step = t_end / n_steps
 
     def rhs(t, x):
-        return (_eval_compiled(compiled, x, sys.k),)
+        return (sys.rhs(x),)
 
     for _ in range(n_steps):
         (x,) = rk4(rhs, 0.0, (x,), step)
@@ -247,37 +255,57 @@ def recenter(sys: PolySystem, x0: Array) -> PolySystem:
 class FockBasis:
     """All occupation vectors of k modes with total occupation <= cutoff.
 
-    Enumeration is lexicographic in the occupation tuple, so the vacuum is
-    index 0.  The dimension is C(cutoff + k, k).
+    `states` holds one occupation vector per row, in lexicographic order,
+    so the vacuum is row 0; the dimension is C(cutoff + k, k).  `down[l]`
+    and `up[l]` map each row to the row with one quantum less or more in
+    mode l, and hold -1 where that state leaves the basis.
     """
 
     k: int
     cutoff: int
-    states: tuple[tuple[int, ...], ...] = field(init=False)
-    index: dict[tuple[int, ...], int] = field(init=False)
+    states: np.ndarray = field(init=False, repr=False)
+    down: np.ndarray = field(init=False, repr=False)
+    up: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("need at least one mode")
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        states = tuple(_occupations(self.k, self.cutoff))
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "index", {n: i for i, n in enumerate(states)})
-        assert len(states) == math.comb(self.cutoff + self.k, self.k)
+        k, cutoff = self.k, self.cutoff
+        # prepend one mode at a time: the rows of head h are the current
+        # rows with total <= cutoff - h, which stay in lexicographic order
+        states = np.zeros((1, 0), dtype=np.min_scalar_type(cutoff))
+        for _ in range(k):
+            total = states.sum(axis=1)
+            states = np.concatenate([np.insert(states[total <= cutoff - h], 0, h, axis=1)
+                                     for h in range(cutoff + 1)])
+        dim = len(states)
+        assert dim == math.comb(cutoff + k, k)
+
+        # tail[l, p] counts the rows over modes l..k-1 with total <= cutoff - p,
+        # so a row n has  sum_l tail[l, P_l] - tail[l, P_l + n_l]  rows before
+        # it, where P_l = n_0 + .. + n_{l-1}
+        tail = np.array([[math.comb(cutoff - p + k - l, k - l) for p in range(cutoff + 1)]
+                         for l in range(k)], dtype=np.int64)
+        modes = np.arange(k)
+        down = np.full((k, dim), -1, dtype=np.int32 if dim <= 2**31 - 1 else np.int64)
+        up = np.full_like(down, -1)
+        below = np.flatnonzero(states.sum(axis=1) < cutoff)
+        for l in range(k):
+            raised = states[below]
+            raised[:, l] += 1
+            after = np.cumsum(raised, axis=1, dtype=np.intp)
+            to = np.sum(tail[modes, after - raised] - tail[modes, after], axis=1)
+            up[l, below] = to
+            down[l, to] = below
+        for name, arr in (("states", states), ("down", down), ("up", up)):
+            arr.flags.writeable = False  # frozen like the basis itself
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return len(self.states)
-
-
-def _occupations(modes: int, budget: int):
-    if modes == 0:
-        yield ()
-        return
-    for head in range(budget + 1):
-        for tail in _occupations(modes - 1, budget - head):
-            yield (head, *tail)
 
 
 def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[sp.csr_matrix, ...]]:
@@ -289,18 +317,12 @@ def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[
     transitions out of the top occupation shell.
     """
     dim = basis.dim
+    sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
     lower = []
-    for i in range(basis.k):
-        rows, cols, vals = [], [], []
-        for col, occ in enumerate(basis.states):
-            if occ[i] == 0:
-                continue
-            below = list(occ)
-            below[i] -= 1
-            rows.append(basis.index[tuple(below)])
-            cols.append(col)
-            vals.append(math.sqrt(occ[i]))
-        lower.append(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+    for l in range(basis.k):
+        cols = np.flatnonzero(basis.down[l] >= 0)
+        lower.append(sp.csr_matrix((sqrt_n[basis.states[cols, l]], (basis.down[l, cols], cols)),
+                                   shape=(dim, dim)))
     raise_ = tuple(m.T.tocsr() for m in lower)
     return tuple(lower), raise_
 
@@ -308,37 +330,43 @@ def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[
 def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
     """Evolution generator: sum over variables of raise_i * F_i(lowering ops).
 
-    Each monomial becomes a product of lowering matrices; they commute
-    exactly on the truncated space, so the factor order inside a monomial is
-    immaterial (ascending mode order is used).
+    A monomial coef * prod_l a_l^{e_l} of F_i, followed by raise_i, sends
+    each basis row to at most one row, so it is one row map: the rows are
+    followed through `basis.down` once per lowering and `basis.up` for the
+    raise, the sqrt(occupation) amplitudes multiplied along the way.  All
+    maps are assembled as one sparse matrix, duplicates summed and exact
+    zeros dropped.  Lowering operators commute exactly on the truncated
+    space, so the factor order inside a monomial is immaterial (ascending
+    mode order is used).
     """
     if basis.cutoff < 1:
         raise CutoffTooSmall("occupation cutoff must be at least 1 to carry any dynamics")
     if sys.k != basis.k:
         raise ValueError(f"system has {sys.k} variables but basis has {basis.k} modes")
-    lower, raise_ = ladder_matrices(basis)
-    dim = basis.dim
-    eye = sp.identity(dim, format="csr", dtype=complex)
+    sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
+    modes = np.arange(sys.k)
+    empty = np.empty(0, dtype=basis.down.dtype)
+    rows, cols, vals = [empty], [empty], [np.empty(0, dtype=complex)]
 
-    # powers of each lowering matrix, filled on demand
-    powers: list[list[sp.csr_matrix]] = [[eye, lower[i].astype(complex)] for i in range(sys.k)]
-
-    def power(i: int, e: int) -> sp.csr_matrix:
-        while len(powers[i]) <= e:
-            powers[i].append((powers[i][-1] @ lower[i]).tocsr())
-        return powers[i][e]
-
-    m = sp.csr_matrix((dim, dim), dtype=complex)
     for i, var_terms in enumerate(sys.terms):
-        f_i = sp.csr_matrix((dim, dim), dtype=complex)
         for coef, exps in var_terms:
-            op = eye
-            for l, e in enumerate(exps):
-                if e:
-                    op = (op @ power(l, e)).tocsr()
-            f_i = f_i + complex(coef) * op
-        m = m + raise_[i] @ f_i
-    return m.tocsr()
+            at = src = np.arange(basis.dim, dtype=basis.down.dtype)
+            amp = np.ones(basis.dim)
+            for l in np.repeat(modes, exps):
+                to = basis.down[l, at]
+                live = to >= 0
+                amp = amp[live] * sqrt_n[basis.states[at[live], l]]
+                at, src = to[live], src[live]
+            to = basis.up[i, at]
+            live = to >= 0
+            at, src = to[live], src[live]
+            rows.append(at)
+            cols.append(src)
+            vals.append(complex(coef) * amp[live] * sqrt_n[basis.states[at, i]])
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(basis.dim, basis.dim)).tocsr()
+    m.eliminate_zeros()
+    return m
 
 
 def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
@@ -351,14 +379,11 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     xi0 = np.asarray(xi0, dtype=complex)
     if xi0.shape != (basis.k,):
         raise ValueError("need one amplitude per mode")
-    norm_fac = math.exp(-0.5 * float(np.sum(np.abs(xi0) ** 2)))
-    v = np.empty(basis.dim, dtype=complex)
-    for idx, occ in enumerate(basis.states):
-        amp = norm_fac
-        for l, n_l in enumerate(occ):
-            if n_l:
-                amp *= xi0[l] ** n_l / math.sqrt(math.factorial(n_l))
-        v[idx] = amp
+    n = np.arange(basis.cutoff + 1)
+    factor = xi0[:, None] ** n / np.array([math.sqrt(math.factorial(j)) for j in n])
+    v = np.full(basis.dim, math.exp(-0.5 * float(np.sum(np.abs(xi0) ** 2))), dtype=complex)
+    for l in range(basis.k):
+        v *= factor[l, basis.states[:, l]]
     tail = max(0.0, 1.0 - float(np.sum(np.abs(v) ** 2)))
     if tail > 1e-12:
         warnings.warn(
@@ -376,12 +401,19 @@ def evolve(m: sp.spmatrix, v0: Array, t_end: float) -> Array:
     Returns exp(t_end M) v0 from scipy's expm_multiply (Al-Mohy & Higham,
     SIAM J. Sci. Comput. 2011), the action of the matrix exponential
     without forming it; its work grows with the 1-norm of t_end M.  The
-    generator is assumed time-independent.
+    horizon is cut into the fewest equal pieces with ||(t_end/pieces) M||_1
+    <= 1000 and the amplitudes are checked after each, so a flow that
+    overflows stops at the first piece that does instead of after the
+    whole horizon's work.  The generator is assumed time-independent.
     """
-    out = expm_multiply(t_end * m, np.asarray(v0, dtype=complex))
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NonFinite("Fock-space evolution produced non-finite amplitudes")
-    return out
+    pieces = max(1, math.ceil(abs(t_end) * spla.norm(m, 1) / 1000.0))
+    step = (t_end / pieces) * m
+    v = np.asarray(v0, dtype=complex)
+    for _ in range(pieces):
+        v = spla.expm_multiply(step, v)
+        if not np.all(np.isfinite(v.view(np.float64))):
+            raise NonFinite("Fock-space evolution produced non-finite amplitudes")
+    return v
 
 
 def readout(v: Array, basis: FockBasis) -> Array:
@@ -392,19 +424,25 @@ def readout(v: Array, basis: FockBasis) -> Array:
     which is what permits non-norm-preserving generators.
     """
     v = np.asarray(v, dtype=complex)
-    vac = v[basis.index[(0,) * basis.k]]
+    vac = v[0]
     scale = float(np.linalg.norm(v))
     if abs(vac) <= 1e-14 * scale:
         raise VacuumOrthogonal(
             f"vacuum amplitude {abs(vac):.3e} below 1e-14 of the vector norm {scale:.3e}"
         )
+    single = basis.up[:, 0]
+    has = single >= 0
     out = np.zeros(basis.k, dtype=complex)
-    for i in range(basis.k):
-        single = tuple(1 if l == i else 0 for l in range(basis.k))
-        idx = basis.index.get(single)
-        if idx is not None:
-            out[i] = v[idx] / vac
+    out[has] = v[single[has]] / vac
     return out
+
+
+def fock_readout(sys: PolySystem, x0: Array, t_end: float, cutoff: int) -> tuple[int, Array]:
+    """(Fock dimension, readout at t_end) of the coherent state at x0
+    evolved under the system's generator at the given cutoff."""
+    basis = FockBasis(k=sys.k, cutoff=cutoff)
+    v = evolve(build_m(sys, basis), coherent_vector(x0, basis), t_end)
+    return basis.dim, readout(v, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +719,6 @@ def readout_errors(sys: PolySystem, x0: Array, t_end: float,
     centered = recenter(sys, x0)
     out = []
     for cutoff in cutoffs:
-        basis = FockBasis(k=sys.k, cutoff=cutoff)
-        v = evolve(build_m(centered, basis), coherent_vector(np.zeros(sys.k), basis), t_end)
-        out.append((basis.dim, float(np.max(np.abs(readout(v, basis) + x0 - oracle)))))
+        dim, got = fock_readout(centered, np.zeros(sys.k), t_end, cutoff)
+        out.append((dim, float(np.max(np.abs(got + x0 - oracle)))))
     return out

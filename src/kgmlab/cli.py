@@ -27,13 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .carleman import (
-    FockBasis,
-    build_m,
     classical_flow,
-    coherent_vector,
-    evolve,
+    fock_readout,
     lotka_system,
-    readout,
     readout_errors,
     reciprocal_drift,
     riccati_system,
@@ -513,11 +509,8 @@ def _cmd_carleman(args: argparse.Namespace) -> int:
 
 
 def _demo_riccati(args: argparse.Namespace) -> int:
-    sys_ = riccati_system()
-    basis = FockBasis(k=1, cutoff=args.cutoff)
-    v = evolve(build_m(sys_, basis), coherent_vector(np.array([args.xi0]), basis),
-               args.t_end)
-    value = float(readout(v, basis)[0].real)
+    got = fock_readout(riccati_system(), np.array([args.xi0]), args.t_end, args.cutoff)[1]
+    value = float(got[0].real)
     exact = args.xi0 / (1.0 + args.xi0 * args.t_end)
     print(f"riccati: xi0={args.xi0:g} cutoff={args.cutoff} t={args.t_end:g}")
     print(f"readout = {value:.12e}")
@@ -527,11 +520,8 @@ def _demo_riccati(args: argparse.Namespace) -> int:
 
 
 def _demo_rotation(args: argparse.Namespace) -> int:
-    sys_ = rotation_system()
-    basis = FockBasis(k=2, cutoff=args.cutoff)
     x0 = np.array([args.xi0, 0.0])
-    v = evolve(build_m(sys_, basis), coherent_vector(x0, basis), args.t_end)
-    got = readout(v, basis).real
+    got = fock_readout(rotation_system(), x0, args.t_end, args.cutoff)[1].real
     t = args.t_end
     exact = np.array([args.xi0 * np.cos(t), -args.xi0 * np.sin(t)])
     print(f"rotation: cutoff={args.cutoff} t={t:g}")
@@ -543,10 +533,8 @@ def _demo_rotation(args: argparse.Namespace) -> int:
 
 def _demo_lotka(args: argparse.Namespace) -> int:
     sys_ = lotka_system()
-    basis = FockBasis(k=2, cutoff=args.cutoff)
     x0 = np.array([0.4, 0.2])
-    v = evolve(build_m(sys_, basis), coherent_vector(x0, basis), args.t_end)
-    got = readout(v, basis).real
+    got = fock_readout(sys_, x0, args.t_end, args.cutoff)[1].real
     oracle = classical_flow(sys_, x0.astype(complex), args.t_end, 1.0e-4).real
     print(f"lotka: cutoff={args.cutoff} t={args.t_end:g} x0=({x0[0]:g}, {x0[1]:g})")
     print(f"readout = ({got[0]:.12e}, {got[1]:.12e})")

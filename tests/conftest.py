@@ -1,17 +1,24 @@
-"""Shared fixtures: the periodic-shift reference stencils.
+"""Shared fixtures and reference implementations.
 
 The package's stencils are slice forms that promise bit-identical output to
 the textbook periodic-shift definitions below.  Tests compare against these
 references directly, or swap them into the package to check that whole
 integrator steps come out the same to the last bit.
+
+The truncated Fock space is referenced the same way: an `itertools`
+enumeration with a dict index, per-state ladder loops, and the generator
+built as sparse products of cached lowering-matrix powers.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import kgmlab.kernel
 
@@ -54,3 +61,53 @@ def use_roll_stencils(monkeypatch):
         assert kgmlab.kernel.deriv_x is roll_deriv_x
 
     return install
+
+
+def reference_states(k, cutoff):
+    """Occupation tuples of k modes with total <= cutoff, lexicographic."""
+    return [occ for occ in itertools.product(range(cutoff + 1), repeat=k)
+            if sum(occ) <= cutoff]
+
+
+def reference_ladder(k, cutoff):
+    """Per-mode lowering matrices and their transposes, one state at a time."""
+    states = reference_states(k, cutoff)
+    index = {occ: i for i, occ in enumerate(states)}
+    lower = []
+    for i in range(k):
+        rows, cols, vals = [], [], []
+        for col, occ in enumerate(states):
+            if occ[i] == 0:
+                continue
+            below = list(occ)
+            below[i] -= 1
+            rows.append(index[tuple(below)])
+            cols.append(col)
+            vals.append(math.sqrt(occ[i]))
+        lower.append(sp.csr_matrix((vals, (rows, cols)), shape=(len(states),) * 2))
+    return tuple(lower), tuple(m.T.tocsr() for m in lower)
+
+
+def reference_build_m(sys_, cutoff):
+    """sum_i raise_i F_i(lower), each monomial a product of cached powers."""
+    lower, raise_ = reference_ladder(sys_.k, cutoff)
+    dim = lower[0].shape[0]
+    eye = sp.identity(dim, format="csr", dtype=complex)
+    powers = [[eye, low.astype(complex)] for low in lower]
+
+    def power(i, e):
+        while len(powers[i]) <= e:
+            powers[i].append((powers[i][-1] @ lower[i]).tocsr())
+        return powers[i][e]
+
+    m = sp.csr_matrix((dim, dim), dtype=complex)
+    for i, var_terms in enumerate(sys_.terms):
+        f_i = sp.csr_matrix((dim, dim), dtype=complex)
+        for coef, exps in var_terms:
+            op = eye
+            for l, e in enumerate(exps):
+                if e:
+                    op = (op @ power(l, e)).tocsr()
+            f_i = f_i + complex(coef) * op
+        m = m + raise_[i] @ f_i
+    return m.tocsr()

@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from conftest import reference_build_m, reference_ladder, reference_states
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from kgmlab.carleman import (
@@ -58,11 +61,44 @@ def silent_coherent(xi0, basis):
 def test_basis_enumeration_and_index_maps():
     basis = FockBasis(k=3, cutoff=3)
     assert basis.dim == math.comb(6, 3)
-    assert basis.states[0] == (0, 0, 0)
-    assert basis.states == tuple(sorted(basis.states))
-    assert all(sum(occ) <= 3 for occ in basis.states)
-    for i, occ in enumerate(basis.states):
-        assert basis.index[occ] == i
+    assert basis.states.shape == (basis.dim, 3)
+    states = [tuple(occ) for occ in basis.states.tolist()]
+    assert states[0] == (0, 0, 0)
+    assert states == sorted(set(states))  # lexicographic, each state once
+    assert all(sum(occ) <= 3 for occ in states)
+    # each map lands on the row holding the shifted state, so every row is
+    # reachable by its position, as a dict index would give it
+    for l in range(3):
+        for i, occ in enumerate(states):
+            lower, upper = basis.down[l, i], basis.up[l, i]
+            assert (lower >= 0) == (occ[l] > 0)
+            assert (upper >= 0) == (sum(occ) < 3)
+            if lower >= 0:
+                assert states[lower] == occ[:l] + (occ[l] - 1,) + occ[l + 1:]
+                assert basis.up[l, lower] == i
+            if upper >= 0:
+                assert states[upper] == occ[:l] + (occ[l] + 1,) + occ[l + 1:]
+                assert basis.down[l, upper] == i
+
+
+@pytest.mark.parametrize("k, cutoff", [
+    (1, 0), (1, 1), (1, 16), (2, 0), (2, 5), (3, 4), (4, 3), (6, 2), (9, 1),
+])
+def test_basis_and_ladder_match_itertools_enumeration(k, cutoff):
+    basis = FockBasis(k=k, cutoff=cutoff)
+    states = reference_states(k, cutoff)
+    index = {occ: i for i, occ in enumerate(states)}
+    assert [tuple(occ) for occ in basis.states.tolist()] == states
+    for l in range(k):
+        step = tuple(int(j == l) for j in range(k))
+        for shift, maps in ((-1, basis.down), (1, basis.up)):
+            expected = [index.get(tuple(n + shift * e for n, e in zip(occ, step)), -1)
+                        for occ in states]
+            assert maps[l].tolist() == expected
+    if cutoff:
+        for got, ref in zip(ladder_matrices(basis), reference_ladder(k, cutoff)):
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_ladder_single_mode_textbook_matrix():
@@ -138,6 +174,36 @@ def test_build_m_rotation_antihermitian_norm_preserving():
     assert np.max(np.abs(readout(vt, basis) - expected)) <= 1e-12
 
 
+@st.composite
+def poly_systems(draw):
+    """Small systems with complex, constant and repeated monomials (a
+    repeat may cancel the first exactly)."""
+    k = draw(st.integers(1, 3))
+    coef = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    monomial = st.tuples(coef, st.tuples(*[st.integers(0, 3)] * k))
+    terms = []
+    for _ in range(k):
+        var_terms = draw(st.lists(monomial, max_size=5))
+        if var_terms and draw(st.booleans()):
+            first_coef, first_exps = var_terms[0]
+            var_terms.append((draw(st.one_of(coef, st.just(-first_coef))), first_exps))
+        terms.append(tuple(var_terms))
+    return PolySystem(k=k, terms=tuple(terms)), draw(st.integers(1, 5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(poly_systems())
+def test_build_m_matches_sparse_product_reference(case):
+    # each entry sums the same products as the power-chain construction, in
+    # another order and association, so they agree to a few ulp of the largest
+    sys_, cutoff = case
+    m = build_m(sys_, FockBasis(k=sys_.k, cutoff=cutoff))
+    assert np.all(m.data != 0.0)  # exact zeros dropped
+    got = m.toarray()
+    ref = reference_build_m(sys_, cutoff).toarray()
+    assert np.max(np.abs(got - ref)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # coherent vectors and readout
 # ---------------------------------------------------------------------------
@@ -192,6 +258,13 @@ def test_readout_coherent_round_trip_and_vacuum_orthogonal():
     bad[3] = 1.0
     with pytest.raises(VacuumOrthogonal, match="vacuum"):
         readout(bad, basis)
+
+
+def test_readout_at_cutoff_zero_is_zero():
+    # no single-occupation state survives the cutoff, so nothing is read out
+    basis = FockBasis(k=3, cutoff=0)
+    assert basis.dim == 1
+    assert np.all(readout(np.array([0.7 - 0.2j]), basis) == 0.0)
 
 
 def test_readout_zero_vector_is_vacuum_orthogonal():
@@ -256,6 +329,20 @@ def test_evolve_overflow_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite):
             evolve(m, v, 1.0)
+
+
+def test_evolve_decay_at_overflow_norm_stays_finite():
+    # the same ||tM||_1 as the overflowing flow above, but every excited
+    # amplitude decays: the vacuum amplitude is untouched and the rest
+    # underflow to zero, so the norm alone cannot decide an overflow
+    basis = FockBasis(k=1, cutoff=8)
+    m = build_m(linear_system(-1e4), basis)
+    v = silent_coherent([0.5], basis)
+    vt = evolve(m, v, 1.0)
+    assert np.all(np.isfinite(vt))
+    assert abs(vt[0] - v[0]) <= 1e-15
+    assert np.max(np.abs(vt[1:])) <= 1e-300
+    assert readout(vt, basis)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
