@@ -128,11 +128,6 @@ class PolySystem:
                     raise ValueError("coefficients must be finite")
         object.__setattr__(self, "_gather", _compile_terms(self))
 
-    @property
-    def max_degree(self) -> int:
-        degrees = [sum(e) for var_terms in self.terms for _, e in var_terms]
-        return max(degrees, default=0)
-
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
         x = np.asarray(x, dtype=complex)
@@ -141,39 +136,6 @@ class PolySystem:
             vals = coefs if idx.shape[1] == 0 else coefs * np.prod(x[idx], axis=1)
             np.add.at(out, rows, vals)
         return out
-
-    def to_text(self) -> str:
-        """One monomial per line: target variable, coefficient, exponent vector."""
-        lines = [f"# poly k={self.k} degree={self.max_degree}"]
-        if self.names is not None:
-            lines.append("# variables: " + " ".join(self.names))
-        for i, var_terms in enumerate(self.terms):
-            for coef, exps in var_terms:
-                c = complex(coef)
-                cs = f"{c.real:.17g}" if c.imag == 0.0 else f"{c.real:.17g}{c.imag:+.17g}j"
-                lines.append(f"{i} {cs} " + " ".join(str(e) for e in exps))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> PolySystem:
-        names = None
-        rows: list[tuple[int, complex, tuple[int, ...]]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("# variables:"):
-                names = tuple(line.removeprefix("# variables:").split())
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split()
-            rows.append((int(cells[0]), complex(cells[1]),
-                         tuple(int(e) for e in cells[2:])))
-        if not rows:
-            raise ValueError("no monomials found")
-        k = len(rows[0][2])
-        terms: list[list[tuple[complex, tuple[int, ...]]]] = [[] for _ in range(k)]
-        for i, coef, exps in rows:
-            terms[i].append((coef, exps))
-        return cls(k=k, terms=tuple(tuple(t) for t in terms), names=names)
 
 
 def _compile_terms(sys: PolySystem):
@@ -379,8 +341,10 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     xi0 = np.asarray(xi0, dtype=complex)
     if xi0.shape != (basis.k,):
         raise ValueError("need one amplitude per mode")
-    n = np.arange(basis.cutoff + 1)
-    factor = xi0[:, None] ** n / np.array([math.sqrt(math.factorial(j)) for j in n])
+    # xi0^n / sqrt(n!) by recurrence: n! itself overflows a float past n = 170
+    factor = np.ones((basis.k, basis.cutoff + 1), dtype=complex)
+    for n in range(1, basis.cutoff + 1):
+        factor[:, n] = factor[:, n - 1] * xi0 / math.sqrt(n)
     v = np.full(basis.dim, math.exp(-0.5 * float(np.sum(np.abs(xi0) ** 2))), dtype=complex)
     for l in range(basis.k):
         v *= factor[l, basis.states[:, l]]

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .carleman import (
     rotation_system,
     tiny_reduced_embedding,
 )
-from .diagnostics import compare, current_residual, observed_order, total_energy
+from .diagnostics import compare, current_residual, observed_order
 from .full import run_full
 from .kernel import FullState, Grid1D, Params, ReducedState, SimulationError, Trajectory
 from .reduced import run_reduced
@@ -74,27 +74,36 @@ class TruncatedFile(SimulationError):
 # configuration
 # ---------------------------------------------------------------------------
 #
-# One flat namespace of dotted keys.  time.dt = 0 means "derive the largest
-# dt <= 0.5 h that lands exactly on t_end" (the stable step comb); any other
-# value is taken literally, with a warning when it exceeds 0.5 h.
+# One flat namespace of dotted keys.  _CONFIG_KEYS is the one place a key is
+# defined: it maps the key to the field it sets and the type its value is
+# cast to.  scenario.* keys set ScenarioSpec fields, the others RunConfig
+# fields, and a command-line flag whose dest is a RunConfig field name
+# overrides that field.  config.txt echoes the keys in the table's order.
+# time.dt = 0 means "derive the largest dt <= 0.5 h that lands exactly on
+# t_end" (the stable step comb); any other value is taken literally, with a
+# warning when it exceeds 0.5 h.
 
-_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "grid.n": int,
-    "grid.length": float,
-    "params.e": float,
-    "params.m": float,
-    "params.b0_floor": float,
-    "params.phi_floor": float,
-    "time.dt": float,
-    "time.t_end": float,
-    "scenario.name": str,
-    "scenario.amplitude": float,
-    "scenario.width": float,
-    "scenario.wavenumber": int,
-    "scenario.offset": float,
-    "output.every": int,
-    "output.dir": str,
+_CONFIG_KEYS: dict[str, tuple[str, type]] = {
+    "grid.n": ("n", int),
+    "grid.length": ("length", float),
+    "params.e": ("e", float),
+    "params.m": ("m", float),
+    "params.b0_floor": ("b0_floor", float),
+    "params.phi_floor": ("phi_floor", float),
+    "time.dt": ("dt", float),
+    "time.t_end": ("t_end", float),
+    "scenario.name": ("name", str),
+    "scenario.amplitude": ("amplitude", float),
+    "scenario.width": ("width", float),
+    "scenario.wavenumber": ("wavenumber", int),
+    "scenario.offset": ("offset", float),
+    "output.every": ("every", int),
+    "output.dir": ("out_dir", str),
 }
+
+
+def _is_scenario_key(key: str) -> bool:
+    return key.startswith("scenario.")
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -139,38 +148,23 @@ class RunConfig:
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, str]) -> "RunConfig":
-        typed: dict[str, object] = {}
+        run_fields: dict[str, object] = {}
+        scenario_fields: dict[str, object] = {}
         for key, raw in pairs.items():
-            caster = _CONFIG_KEYS[key]
+            field_name, cast = _CONFIG_KEYS[key]
             try:
-                typed[key] = caster(raw)
+                value = cast(raw)
             except ValueError as err:
                 raise ConfigError(f"{key}: {err}") from err
+            target = scenario_fields if _is_scenario_key(key) else run_fields
+            target[field_name] = value
 
-        name = typed.get("scenario.name", "matter-packet")
+        # explicit scenario.* keys land on top of that scenario's defaults
         try:
-            spec = default_scenario(str(name))
+            spec = default_scenario(scenario_fields.get("name", "matter-packet"))
         except ValueError as err:
             raise ConfigError(f"scenario.name: {err}") from err
-        for field_name in ("amplitude", "width", "wavenumber", "offset"):
-            key = f"scenario.{field_name}"
-            if key in typed:
-                spec = replace(spec, **{field_name: typed[key]})
-
-        base = cls(scenario=spec)
-        return replace(
-            base,
-            n=typed.get("grid.n", base.n),
-            length=typed.get("grid.length", base.length),
-            e=typed.get("params.e", base.e),
-            m=typed.get("params.m", base.m),
-            b0_floor=typed.get("params.b0_floor", base.b0_floor),
-            phi_floor=typed.get("params.phi_floor", base.phi_floor),
-            dt=typed.get("time.dt", base.dt),
-            t_end=typed.get("time.t_end", base.t_end),
-            every=typed.get("output.every", base.every),
-            out_dir=typed.get("output.dir", base.out_dir),
-        )
+        return cls(scenario=replace(spec, **scenario_fields), **run_fields)
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -183,27 +177,11 @@ class RunConfig:
         float() first so numpy scalars assigned programmatically echo in
         parseable form.
         """
-        def fmt(v: float) -> str:
-            return repr(float(v))
-
-        lines = [
-            "# effective configuration",
-            f"grid.n = {int(self.n)}",
-            f"grid.length = {fmt(self.length)}",
-            f"params.e = {fmt(self.e)}",
-            f"params.m = {fmt(self.m)}",
-            f"params.b0_floor = {fmt(self.b0_floor)}",
-            f"params.phi_floor = {fmt(self.phi_floor)}",
-            f"time.dt = {fmt(self.dt)}",
-            f"time.t_end = {fmt(self.t_end)}",
-            f"scenario.name = {self.scenario.name}",
-            f"scenario.amplitude = {fmt(self.scenario.amplitude)}",
-            f"scenario.width = {fmt(self.scenario.width)}",
-            f"scenario.wavenumber = {int(self.scenario.wavenumber)}",
-            f"scenario.offset = {fmt(self.scenario.offset)}",
-            f"output.every = {int(self.every)}",
-            f"output.dir = {self.out_dir}",
-        ]
+        lines = ["# effective configuration"]
+        for key, (field_name, cast) in _CONFIG_KEYS.items():
+            owner = self.scenario if _is_scenario_key(key) else self
+            value = cast(getattr(owner, field_name))
+            lines.append(f"{key} = {value!r}" if cast is float else f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
     # -- derived objects ----------------------------------------------------
@@ -246,14 +224,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, scenario=default_scenario(scenario))
         except ValueError as err:
             raise ConfigError(f"--scenario: {err}") from err
-    overrides = {
-        "n": getattr(args, "n", None),
-        "length": getattr(args, "length", None),
-        "dt": getattr(args, "dt", None),
-        "t_end": getattr(args, "t_end", None),
-        "every": getattr(args, "every", None),
-        "out_dir": getattr(args, "out", None),
-    }
+    overrides = {field_name: getattr(args, field_name, None)
+                 for key, (field_name, _) in _CONFIG_KEYS.items()
+                 if not _is_scenario_key(key)}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.every < 1:
         raise ConfigError(f"output.every must be >= 1, got {cfg.every}")
@@ -441,7 +414,7 @@ def ladder_level(s0: FullState, dt: float, t_end: float, p: Params,
     out = {"h": s0.grid.h, "dt": dt,
            "equivalence": compare(traj_full, traj_red).max_rel_linf}
     for tag, traj in (("full", traj_full), ("reduced", traj_red)):
-        energies = np.array([total_energy(s, p) for s in traj.states])
+        energies = np.array([extra["energy"] for extra in traj.extras])
         scale = max(abs(energies[0]), 1e-300)
         out[f"energy_{tag}"] = float(np.max(np.abs(energies - energies[0])) / scale)
         out[f"current_{tag}"] = float(np.max(np.abs(current_residual(traj, p))))
@@ -588,7 +561,8 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="end time (default 1.0)")
     sub.add_argument("--every", type=int,
                      help="snapshot stride in steps (default 1)")
-    sub.add_argument("--out", help="output directory (default 'out')")
+    sub.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help="output directory (default 'out')")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -144,14 +144,10 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
         times = np.asarray(traj.times)
         dqdt = np.gradient(q, times, axis=0, edge_order=2)
     else:
-        rows = []
-        for s in states:
-            if isinstance(s, FullState):
-                rows.append(s.Bdot[0] * s.phi**2 + 2.0 * s.B[0] * s.phi * s.phidot)
-            else:
-                Phi = reconstruct_phi(s, p)
-                rows.append(s.Bdot[0] * Phi + s.B[0] * reconstruct_phi_dot(s, Phi, p))
-        dqdt = np.stack(rows)
+        dqdt = np.empty((K, g.n))
+        for k, s in enumerate(states):
+            Phi, Phidot = _intensity(s, p)
+            dqdt[k] = s.Bdot[0] * Phi + s.B[0] * Phidot
 
     resid = np.empty(K)
     for k in range(K):

@@ -186,7 +186,7 @@ class ReducedState:
         _as_field_block("Bdot", self.Bdot, self.grid.n)
 
     def copy(self) -> "ReducedState":
-        return replace(self, B=self.B.copy(), Bdot=self.Bdot.copy())
+        return replace(self, **{name: arr.copy() for name, arr in self.field_arrays()})
 
     def field_arrays(self) -> Iterator[tuple[str, Array]]:
         yield "B", self.B
@@ -228,15 +228,6 @@ class FullState(ReducedState):
         for name, arr in (("phi", self.phi), ("phidot", self.phidot)):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have shape ({self.grid.n},), got {arr.shape}")
-
-    def copy(self) -> "FullState":
-        return replace(
-            self,
-            B=self.B.copy(),
-            Bdot=self.Bdot.copy(),
-            phi=self.phi.copy(),
-            phidot=self.phidot.copy(),
-        )
 
     def field_arrays(self) -> Iterator[tuple[str, Array]]:
         yield from super().field_arrays()

@@ -84,6 +84,37 @@ def test_config_echo_reparses_identically():
     assert RunConfig.parse(cfg2.to_text()) == cfg2
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scenario.wavenumber = 1.5", "scenario.wavenumber"),
+    ("params.m = heavy", "params.m"),
+])
+def test_config_bad_value_names_its_key(text, key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        RunConfig.parse(text)
+
+
+def test_config_default_echo_text():
+    # the header, then every key once, in echo order
+    assert RunConfig().to_text() == (
+        "# effective configuration\n"
+        "grid.n = 256\n"
+        "grid.length = 6.283185307179586\n"
+        "params.e = 1.0\n"
+        "params.m = 1.0\n"
+        "params.b0_floor = 1e-06\n"
+        "params.phi_floor = 0.001\n"
+        "time.dt = 0.0\n"
+        "time.t_end = 1.0\n"
+        "scenario.name = matter-packet\n"
+        "scenario.amplitude = 0.3\n"
+        "scenario.width = 1.4\n"
+        "scenario.wavenumber = 1\n"
+        "scenario.offset = 1.0\n"
+        "output.every = 1\n"
+        "output.dir = out\n"
+    )
+
+
 def test_config_comb_step_covers_t_end_exactly():
     cfg = RunConfig.parse("grid.n = 64\ntime.t_end = 0.2\n")
     g = cfg.grid()
@@ -263,6 +294,12 @@ def test_carleman_riccati_prints_error_vs_closed_form(capsys):
     out = capsys.readouterr().out
     assert "exact" in out and "3.33333" in out  # 1/3 to the printed digits
     assert "error" in out
+
+
+def test_carleman_riccati_runs_past_factorial_overflow(capsys):
+    # cutoff 200 needs coherent amplitudes beyond n = 170, where n! overflows
+    assert main(["carleman", "riccati", "--cutoff", "200"]) == 0
+    assert "error" in capsys.readouterr().out
 
 
 def test_carleman_rejects_bad_cutoff(capsys):
