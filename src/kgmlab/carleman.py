@@ -23,13 +23,14 @@ assembles M as one row map per monomial, and the coherent vector and the
 readout are array expressions over the rows.
 
 The electromagnetic closure of `reduced` is rational, not polynomial, so
-`polynomialize_reduced` rewrites it on a tiny periodic grid with reciprocal
-auxiliary variables (1/B_0 and 1/Phi, plus the logarithmic rate and slope of
-Phi), after which every right-hand side is a polynomial of degree at most
-four.  Truncated-Fock dimensions grow combinatorially in grid points, so the
-embedding itself is only exercised on n = 2 (`tiny_reduced_embedding`); the
-polynomial system is exact for any n <= 4 and is integrated classically as
-its own oracle.
+`polynomialize_reduced` rewrites it on a tiny periodic grid with the
+intensity Phi, its reciprocal and its logarithmic rate and slope as extra
+variables, twelve per grid point, after which every right-hand side is a
+polynomial of degree at most four.  The system is exact for any n <= 4 and
+is integrated classically as its own oracle.  Truncated-Fock dimensions grow
+combinatorially in grid points: the n = 2 embedding (`tiny_reduced_embedding`,
+the one the acceptance gate and the demo run) has dimension 20,475 at cutoff
+4, and an n = 4 system 20,825 at cutoff 3 and 270,725 at cutoff 4.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .kernel import (
     ReducedState,
     SimulationError,
     deriv_x,
+    deriv_xx,
     rk4,
 )
 from .reduced import reconstruct_phi, reconstruct_phi_dot
@@ -453,7 +455,7 @@ def lotka_system(growth: float = 0.5, predation: float = 1.0,
 _POLY_FIELDS = (
     "b0", "b1", "b2", "b3",
     "bdot0", "bdot1", "bdot2", "bdot3",
-    "intensity", "inv_b0", "inv_intensity", "log_rate", "log_slope",
+    "intensity", "inv_intensity", "log_rate", "log_slope",
 )
 
 _Term = tuple[float, dict[int, int]]
@@ -482,58 +484,53 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
         b0..b3        the four field components
         bdot0..bdot3  their time derivatives
         intensity     Phi, promoted from reconstructed quantity to state
-        inv_b0        1/b0,   rate -inv_b0^2 * bdot0
         inv_intensity 1/Phi,  rate -log_rate * inv_intensity
         log_rate      Phidot/Phi
         log_slope     (d Phi/dx)/Phi
 
     The rates are the integrator's accelerations with every division
-    replaced by a reciprocal variable and every quotient of Phi-derivatives
-    by a logarithmic variable.  Three reductions use the constraint
-    manifold identities (inv_b0*b0 = 1, inv_intensity*intensity = 1) to
-    keep the total degree at four; off the manifold the two systems differ,
-    which is why the manifold drift is a reported invariant.  On the
-    manifold the right-hand sides agree with accel_reduced to roundoff.
+    replaced by the reciprocal variable and every quotient of
+    Phi-derivatives by a logarithmic variable.  Two reductions use the
+    manifold identity inv_intensity*intensity = 1 to keep the total degree
+    at four: the inv_intensity rate itself, and the screening and mass
+    terms of inv_intensity*Phiddot, which the bdot0 and log_rate rates
+    share.  Off the manifold the two systems differ, which is why the
+    manifold drift is a reported invariant.  On the manifold the
+    right-hand sides agree with accel_reduced to roundoff.
 
     The composed second difference of b1 inside its wave operator cancels
     exactly against the matching piece of the divergence gradient, so the
     b1 rate is emitted in the collapsed form  D(bdot0) - 2 e^2 b1 Phi.
 
-    On n = 2 the centered first difference vanishes identically (the two
+    The difference weights are read off kernel's deriv_x and deriv_xx.  On
+    n = 2 the centered first difference vanishes identically (the two
     neighbors coincide), which silently removes every transport term; the
     result is still the faithful transcription of the integrator on that
-    grid, and it is the only size whose Fock embedding is affordable.
+    grid.
     """
     n = g.n
     if n > 4:
         raise UnsupportedGrid(f"polynomialization supports n <= 4 grid points, got {n}")
-    h = g.h
     e2 = p.e**2
     msq = p.m**2
 
     def var(fieldname: str, j: int) -> int:
         return _POLY_FIELDS.index(fieldname) * n + (j % n)
 
-    def stencil1(j: int) -> list[tuple[int, float]]:
-        acc: dict[int, float] = {}
-        acc[(j + 1) % n] = acc.get((j + 1) % n, 0.0) + 1.0 / (2.0 * h)
-        acc[(j - 1) % n] = acc.get((j - 1) % n, 0.0) - 1.0 / (2.0 * h)
-        return [(l, c) for l, c in acc.items() if c != 0.0]
+    def taps(stencil) -> list[list[tuple[int, float]]]:
+        # per output point j, the nonzero weights of kernel's stencil on the
+        # points j+1, j, j-1 (fewer where they alias), one unit vector a call
+        w = np.column_stack([stencil(unit, g) for unit in np.eye(n)])
+        return [[(l, float(w[j, l])) for l in dict.fromkeys(((j + 1) % n, j, (j - 1) % n))
+                 if w[j, l] != 0.0] for j in range(n)]
 
-    def stencil2(j: int) -> list[tuple[int, float]]:
-        acc: dict[int, float] = {}
-        for l, c in (((j + 1) % n, 1.0), (j % n, -2.0), ((j - 1) % n, 1.0)):
-            acc[l] = acc.get(l, 0.0) + c / (h * h)
-        return [(l, c) for l, c in acc.items() if c != 0.0]
+    d1, d2 = taps(deriv_x), taps(deriv_xx)
 
     def lin(fieldname: str, j: int, c: float = 1.0) -> list[_Term]:
         return [(c, {var(fieldname, j): 1})]
 
-    def diff1(fieldname: str, j: int) -> list[_Term]:
-        return [(c, {var(fieldname, l): 1}) for l, c in stencil1(j)]
-
-    def diff2(fieldname: str, j: int) -> list[_Term]:
-        return [(c, {var(fieldname, l): 1}) for l, c in stencil2(j)]
+    def diff(weights: list[list[tuple[int, float]]], fieldname: str, j: int) -> list[_Term]:
+        return [(c, {var(fieldname, l): 1}) for l, c in weights[j]]
 
     rates: dict[int, list[_Term]] = {var(f, j): [] for f in _POLY_FIELDS for j in range(n)}
 
@@ -556,7 +553,7 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
             (-1.0, {var("b2", j): 2}), (-1.0, {var("b3", j): 2}),
         ]
         v_phiddot = (
-            _pmul(v_, diff2("intensity", j))
+            _pmul(v_, diff(d2, "intensity", j))
             + [(0.5, {var("log_rate", j): 2}), (-0.5, {var("log_slope", j): 2})]
             + _pscale(bsq, 2.0 * e2)
             + [(-2.0 * msq, {})]
@@ -565,11 +562,11 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
         # d/dx of (log_rate * intensity) = d/dx Phidot, per stencil point
         d_rate_phi = [
             (c, {var("log_rate", l): 1, var("intensity", l): 1})
-            for l, c in stencil1(j)
+            for l, c in d1[j]
         ]
 
         # divergence of the field: bdot0 - D(b1)
-        div_b = lin("bdot0", j) + _pscale(diff1("b1", j), -1.0)
+        div_b = lin("bdot0", j) + _pscale(diff(d1, "b1", j), -1.0)
 
         # closure for the b0 acceleration: D(bdot1) - bracket/Phi, with every
         # 1/Phi written through the logarithmic variables
@@ -580,26 +577,21 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
             + _pmul(b0, v_phiddot)
             + _pscale(_pmul(b1, _pmul(v_, d_rate_phi)), -1.0)
         )
-        rates[var("bdot0", j)] = diff1("bdot1", j) + _pscale(bracket_over_phi, -1.0)
+        rates[var("bdot0", j)] = diff(d1, "bdot1", j) + _pscale(bracket_over_phi, -1.0)
 
-        rates[var("bdot1", j)] = diff1("bdot0", j) + _pscale(_pmul(b1, phi_), -2.0 * e2)
-        rates[var("bdot2", j)] = diff2("b2", j) + _pscale(_pmul(lin("b2", j), phi_), -2.0 * e2)
-        rates[var("bdot3", j)] = diff2("b3", j) + _pscale(_pmul(lin("b3", j), phi_), -2.0 * e2)
+        rates[var("bdot1", j)] = diff(d1, "bdot0", j) + _pscale(_pmul(b1, phi_), -2.0 * e2)
+        rates[var("bdot2", j)] = diff(d2, "b2", j) + _pscale(_pmul(lin("b2", j), phi_), -2.0 * e2)
+        rates[var("bdot3", j)] = diff(d2, "b3", j) + _pscale(_pmul(lin("b3", j), phi_), -2.0 * e2)
 
         rates[var("intensity", j)] = _pmul(eta, phi_)
-        rates[var("inv_b0", j)] = [(-1.0, {var("bdot0", j): 1, var("inv_b0", j): 2})]
         rates[var("inv_intensity", j)] = _pscale(_pmul(eta, lin("inv_intensity", j)), -1.0)
-        rates[var("log_rate", j)] = (
-            _pmul(v_, diff2("intensity", j))
-            + [(-0.5, {var("log_rate", j): 2}), (-0.5, {var("log_slope", j): 2})]
-            + _pscale(bsq, 2.0 * e2)
-            + [(-2.0 * msq, {})]
-        )
+        # d/dt (Phidot/Phi) = v * Phiddot - log_rate^2
+        rates[var("log_rate", j)] = v_phiddot + [(-1.0, {var("log_rate", j): 2})]
         rates[var("log_slope", j)] = (
             _pmul(v_, d_rate_phi) + _pscale(_pmul(zeta, eta), -1.0)
         )
 
-    k = 13 * n
+    k = len(_POLY_FIELDS) * n
     names = tuple(f"{f}[{j}]" for f in _POLY_FIELDS for j in range(n))
     terms = []
     for i in range(k):
@@ -616,7 +608,7 @@ def lift_reduced_state(s: ReducedState, p: Params) -> Array:
 
     Reconstructs the intensity and its rate, then fills the auxiliary
     reciprocal and logarithmic variables; ordering matches
-    polynomialize_reduced.  The reciprocals require the intensity to clear
+    polynomialize_reduced.  The reciprocal requires the intensity to clear
     the guard floor everywhere (a polynomial system has no fallback branch).
     """
     g = s.grid
@@ -631,7 +623,6 @@ def lift_reduced_state(s: ReducedState, p: Params) -> Array:
         s.B.ravel(),
         s.Bdot.ravel(),
         Phi,
-        1.0 / s.B[0],
         1.0 / Phi,
         Phidot / Phi,
         deriv_x(Phi, g) / Phi,
@@ -658,19 +649,18 @@ def tiny_reduced_embedding() -> tuple[ReducedState, PolySystem, Array]:
 
 
 def reciprocal_drift(sys: PolySystem, x0: Array, t_end: float) -> float:
-    """Largest defect of b0*inv_b0 = 1 and intensity*inv_intensity = 1
-    along the classical flow of polynomialize_reduced's system, sampled
-    at steps of at most 1e-3 up to t_end."""
+    """Largest defect of intensity*inv_intensity = 1 along the classical
+    flow of polynomialize_reduced's system, sampled at steps of at most
+    1e-3 up to t_end."""
     n = sys.k // len(_POLY_FIELDS)
-    pairs = [(_POLY_FIELDS.index(a) * n, _POLY_FIELDS.index(b) * n)
-             for a, b in (("inv_b0", "b0"), ("inv_intensity", "intensity"))]
+    phi = _POLY_FIELDS.index("intensity") * n
+    inv = _POLY_FIELDS.index("inv_intensity") * n
     drift = 0.0
     x = x0
-    steps = max(1, math.ceil(t_end / 1.0e-3))
+    steps = max(1, math.ceil(abs(t_end) / 1.0e-3))
     for _ in range(steps):
         x = classical_flow(sys, x, t_end / steps, 1.0e-3)
-        for i, j in pairs:
-            drift = max(drift, float(np.max(np.abs(x[i:i + n] * x[j:j + n] - 1.0))))
+        drift = max(drift, float(np.max(np.abs(x[inv:inv + n] * x[phi:phi + n] - 1.0))))
     return drift
 
 

@@ -209,21 +209,20 @@ class RunConfig:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    pairs: dict[str, str] = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
             text = Path(config_path).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config file {config_path!r}: {err}") from err
-        cfg = RunConfig.parse(text)
+        pairs = _parse_pairs(text)
 
+    # --scenario picks the defaults the file's scenario.* keys land on
     scenario = getattr(args, "scenario", None)
     if scenario is not None:
-        try:
-            cfg = replace(cfg, scenario=default_scenario(scenario))
-        except ValueError as err:
-            raise ConfigError(f"--scenario: {err}") from err
+        pairs["scenario.name"] = scenario
+    cfg = RunConfig.from_pairs(pairs)
     overrides = {field_name: getattr(args, field_name, None)
                  for key, (field_name, _) in _CONFIG_KEYS.items()
                  if not _is_scenario_key(key)}

@@ -21,6 +21,7 @@ from conftest import reference_build_m, reference_ladder, reference_states
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from kgmlab import carleman
 from kgmlab.carleman import (
     CutoffTooSmall,
     FockBasis,
@@ -31,6 +32,7 @@ from kgmlab.carleman import (
     classical_flow,
     coherent_vector,
     evolve,
+    fock_readout,
     ladder_matrices,
     lift_reduced_state,
     linear_system,
@@ -397,6 +399,25 @@ def test_lotka_cutoff_ladder():
     assert errs[-1] <= 1e-10
 
 
+def test_spectator_variable_leaves_readout_unchanged():
+    # lotka plus a third variable that no other rate reads: every term of M
+    # that involves it ends in its raising operator, so the sector where it
+    # is empty, which holds the vacuum and the shared single occupations,
+    # evolves exactly as plain lotka does (measured <= 7e-17)
+    lotka = lotka_system()
+    spectator = PolySystem(k=3, terms=(
+        tuple((c, exps + (0,)) for c, exps in lotka.terms[0]),
+        tuple((c, exps + (0,)) for c, exps in lotka.terms[1]),
+        ((-1.0, (1, 0, 2)),),
+    ))
+    x0 = np.array([0.3, 0.2])
+    plain, wide = recenter(lotka, x0), recenter(spectator, np.append(x0, 0.5))
+    for cutoff in (4, 8, 12):
+        _, want = fock_readout(plain, np.zeros(2), 1.0, cutoff)
+        _, got = fock_readout(wide, np.zeros(3), 1.0, cutoff)
+        assert np.max(np.abs(got[:2] - want)) <= 1e-15
+
+
 def test_classical_flow_riccati_endpoint():
     out = classical_flow(riccati_system(), np.array([0.5]), 1.0, 1e-3)
     assert abs(out[0] - 1.0 / 3.0) <= 1e-11
@@ -453,19 +474,30 @@ def test_polynomialize_rejects_large_grid():
 
 
 def test_polynomialize_reciprocal_equation_shape():
-    # the 1/b0 auxiliary obeys  d/dt inv_b0 = -(bdot0) * inv_b0^2:
-    # one monomial, coefficient -1, exponent 1 on bdot0 and 2 on inv_b0
+    # the 1/Phi auxiliary obeys  d/dt inv_intensity = -log_rate * inv_intensity:
+    # one monomial, coefficient -1, exponent 1 on log_rate and on inv_intensity
     g = Grid1D(n=4)
     sys = polynomialize_reduced(g, Params())
     names = list(sys.names)
     for j in range(4):
-        terms = sys.terms[names.index(f"inv_b0[{j}]")]
+        terms = sys.terms[names.index(f"inv_intensity[{j}]")]
         assert len(terms) == 1
         coef, exps = terms[0]
         assert coef == -1.0
-        expected = {names.index(f"bdot0[{j}]"): 1, names.index(f"inv_b0[{j}]"): 2}
+        expected = {names.index(f"log_rate[{j}]"): 1, names.index(f"inv_intensity[{j}]"): 1}
         assert {l: e for l, e in enumerate(exps) if e} == expected
     assert max(sum(exps) for var_terms in sys.terms for _, exps in var_terms) == 4
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_polynomialize_every_variable_feeds_another_rate(n):
+    # a variable that only its own rate reads is a spectator: it enlarges
+    # every truncated space and changes no readout
+    sys = polynomialize_reduced(Grid1D(n=n), Params())
+    unread = [name for l, name in enumerate(sys.names)
+              if not any(exps[l] for i, var_terms in enumerate(sys.terms) if i != l
+                         for _, exps in var_terms)]
+    assert unread == []
 
 
 def test_polynomialize_matches_integrator_pointwise():
@@ -486,14 +518,13 @@ def test_polynomialize_matches_integrator_pointwise():
 
 
 def test_polynomialize_manifold_invariant():
-    # the reciprocal constraints are invariant manifolds of the emitted
-    # flow; classical integration must not drift off (measured 4e-12)
+    # the reciprocal constraint is an invariant manifold of the emitted
+    # flow; classical integration must not drift off (measured 1.6e-12)
     p = Params()
     s = em_test_state(4)
     sys = polynomialize_reduced(s.grid, p)
     xt = classical_flow(sys, lift_reduced_state(s, p), 0.5, 1e-3).real
-    assert np.max(np.abs(xt[36:40] * xt[0:4] - 1.0)) <= 1e-8
-    assert np.max(np.abs(xt[40:44] * xt[32:36] - 1.0)) <= 1e-8
+    assert np.max(np.abs(xt[36:40] * xt[32:36] - 1.0)) <= 1e-8
 
 
 def test_lift_requires_intensity_above_floor():
@@ -511,6 +542,19 @@ def test_reduced_tiny_fock_convergence():
     # trajectory as the cutoff grows (measured 8.0e-3 / 4.0e-5 / 1.6e-7)
     _, sys, z0 = tiny_reduced_embedding()
     dims, errs = zip(*readout_errors(sys, z0, 0.05, (1, 2, 3)))
-    assert dims == (27, 378, 3654)
+    assert dims == (25, 325, 2925)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-5
+
+
+def test_reciprocal_drift_samples_either_horizon_sign(monkeypatch):
+    _, sys, x0 = tiny_reduced_embedding()
+    flow = carleman.classical_flow
+    samples = []
+    monkeypatch.setattr(carleman, "classical_flow",
+                        lambda *args: samples.append(args[2]) or flow(*args))
+    for t_end in (0.05, -0.05):
+        samples.clear()
+        carleman.reciprocal_drift(sys, x0, t_end)
+        assert len(samples) == 50
+        assert sum(samples) == pytest.approx(t_end, rel=1e-12)

@@ -239,6 +239,18 @@ def test_config_file_with_flag_override(tmp_path):
     assert echoed.t_end == 0.1     # file beats default
 
 
+def test_scenario_flag_keeps_config_file_scenario_values(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("grid.n = 32\ntime.t_end = 0.1\n"
+                        "scenario.name = pure-gauge-wave\nscenario.amplitude = 0.25\n"
+                        f"output.dir = {tmp_path / 'cfgout'}\n")
+    assert main(["run-reduced", "--config", str(cfg_file),
+                 "--scenario", "pure-gauge-wave"]) == 0
+    echoed = RunConfig.parse((tmp_path / "cfgout" / "config.txt").read_text())
+    # the flag picks the defaults; the file's scenario.* keys land on top
+    assert echoed.scenario == replace(default_scenario("pure-gauge-wave"), amplitude=0.25)
+
+
 def test_large_dt_warns_on_stderr(tmp_path, capsys):
     assert main(["run-full", "--n", "64", "--dt", "0.2", "--t-end", "0.2",
                  "--out", str(tmp_path / "w")]) == 0

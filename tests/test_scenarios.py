@@ -220,8 +220,8 @@ def dense_screened_operator(phi_sq, p, g):
 def test_screened_solve_matches_dense_reference(data, n, projected):
     g = Grid1D(n=n)
     p = Params()
-    # nonzero intensities stay >= 0.05 so the solve is conditioned well
-    # enough for the 1e-10 residual gate at every n drawn here
+    # nonzero intensities stay >= 0.05 so the forward-error bound below
+    # stays informative; the backward-error gate holds at any conditioning
     phi_sq = data.draw(hnp.arrays(float, n, elements=st.one_of(
         st.just(0.0), st.floats(0.05, 2.0))))
     assume(np.any(phi_sq))
@@ -256,20 +256,21 @@ def test_screened_solve_matches_dense_reference(data, n, projected):
 # the residual gate and the fine-grid envelope
 
 
-@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("n", [4096, 8192, 16384])
 @pytest.mark.parametrize("amplitude", [0.27, 0.33])
 def test_make_scenario_passes_gate_on_fine_grids(n, amplitude):
-    # the ends of the amplitude range a fine reduced run draws from; the
-    # projected solve sits within a few times of the gate here and needs
-    # its refinement step, taken on a mean-free residual.  The check is
-    # the solver's own gate: make_scenario raises SimulationError past it.
+    # the ends of the amplitude range a fine reduced run draws from.  The
+    # check is the solver's own gate, a normwise backward error of 1e-14
+    # that these solves meet with about 100x to spare at every n;
+    # make_scenario raises SimulationError past it.
     spec = replace(default_scenario("matter-packet"), amplitude=amplitude)
     make_scenario(spec, Params(), Grid1D(n=n))
 
 
-def test_pinned_solve_and_full_step_pass_gate_at_n2048():
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_pinned_solve_and_full_step_pass_gate_on_fine_grids(n):
     p = Params()
-    g = Grid1D(n=2048)
+    g = Grid1D(n=n)
     s = make_scenario(default_scenario("matter-packet"), p, g)
     b0 = solve_gauss_constraint(s.phi, s.Bdot[1:], p, g, charge_mean=s.charge_mean)
     assert_allclose(b0, s.B[0], rtol=0.0, atol=1e-9)
