@@ -76,8 +76,8 @@ def _ladder_level(n: int) -> dict[str, float]:
 
     identity = 0.0
     for s in traj_red.states:
-        b_ddot, _ = accel_reduced(s, p)
-        identity = max(identity, float(np.max(phi_identity_check(s, b_ddot, p))))
+        resid = phi_identity_check(s, accel_reduced(s, p), p)
+        identity = max(identity, float(np.max(resid)))
     out["identity"] = identity
     return out
 

@@ -159,12 +159,14 @@ class RunConfig:
             target = scenario_fields if _is_scenario_key(key) else run_fields
             target[field_name] = value
 
-        # explicit scenario.* keys land on top of that scenario's defaults
+        # explicit scenario.* keys land on top of that scenario's defaults;
+        # ScenarioSpec's messages start with the field name
         try:
             spec = default_scenario(scenario_fields.get("name", "matter-packet"))
+            spec = replace(spec, **scenario_fields)
         except ValueError as err:
-            raise ConfigError(f"scenario.name: {err}") from err
-        return cls(scenario=replace(spec, **scenario_fields), **run_fields)
+            raise ConfigError(f"scenario.{err}") from err
+        return cls(scenario=spec, **run_fields)
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -197,7 +199,7 @@ class RunConfig:
             return Params(e=self.e, m=self.m,
                           b0_floor=self.b0_floor, phi_floor=self.phi_floor)
         except ValueError as err:
-            raise ConfigError(f"params: {err}") from err
+            raise ConfigError(f"params.{err}") from err
 
     def resolved_dt(self, g: Grid1D) -> float:
         """The literal time.dt, or the 0.5 h comb step when time.dt = 0."""
@@ -229,6 +231,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.every < 1:
         raise ConfigError(f"output.every must be >= 1, got {cfg.every}")
+    for key, value in (("time.dt", cfg.dt), ("time.t_end", cfg.t_end)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
     return cfg
 
 
@@ -468,7 +473,7 @@ def _cmd_carleman(args: argparse.Namespace) -> int:
     if args.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
     if args.t_end is None:
-        # the 26-variable embedding only converges at affordable cutoffs
+        # the 24-variable embedding only converges at affordable cutoffs
         # over a short horizon; default inside that window
         args.t_end = 0.05 if args.system == "reduced-tiny" else 1.0
     if args.system == "riccati":

@@ -118,11 +118,6 @@ def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _charge_and_flux(s: ReducedState, p: Params) -> tuple[Array, Array]:
-    Phi, _ = _intensity(s, p)
-    return s.B[0] * Phi, s.B[1] * Phi
-
-
 def current_residual(traj: Trajectory, p: Params) -> Array:
     """Max-norm divergence defect of the conserved current, per snapshot.
 
@@ -135,19 +130,15 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
     states = traj.states
     K = len(states)
     g = traj.grid
+    # q holds the charge, differenced across snapshots below; with fewer
+    # than three snapshots it holds the state-carried rate instead
     q = np.empty((K, g.n))
     flux = np.empty((K, g.n))
     for k, s in enumerate(states):
-        q[k], flux[k] = _charge_and_flux(s, p)
-
-    if K >= 3:
-        times = np.asarray(traj.times)
-        dqdt = np.gradient(q, times, axis=0, edge_order=2)
-    else:
-        dqdt = np.empty((K, g.n))
-        for k, s in enumerate(states):
-            Phi, Phidot = _intensity(s, p)
-            dqdt[k] = s.Bdot[0] * Phi + s.B[0] * Phidot
+        Phi, Phidot = _intensity(s, p)
+        q[k] = s.B[0] * Phi if K >= 3 else s.Bdot[0] * Phi + s.B[0] * Phidot
+        flux[k] = s.B[1] * Phi
+    dqdt = np.gradient(q, np.asarray(traj.times), axis=0, edge_order=2) if K >= 3 else q
 
     resid = np.empty(K)
     for k in range(K):

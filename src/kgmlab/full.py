@@ -38,6 +38,7 @@ from .kernel import (
     lorentz_dot,
     rk4,
     run_trajectory,
+    spatial_accel,
 )
 from .scenarios import solve_gauss_constraint, solve_gauss_rate
 
@@ -50,37 +51,18 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
 
-        phi_ddot  = laplacian(phi) + (e^2 B^mu B_mu - m^2) phi
-        B_ddot_1  = D(D B_1) + D(div B) - 2 e^2 B_1 phi^2
-        B_ddot_2,3 = laplacian(B_2,3) - 2 e^2 B_2,3 phi^2
+        phi_ddot = laplacian(phi) + (e^2 B^mu B_mu - m^2) phi
 
-    with div B = dB_0/dt - D B_1 formed as a field and then differentiated.
-    B_1's second derivative is the composed central stencil D(D .), not the
-    compact laplacian: the same composition appears inside D(div B) and in
-    the constraint solve, and using one discrete operator for all three is
-    what makes the time-differentiated constraint close exactly (the
-    mismatch would otherwise feed a grid-scale source into the B_0 sector).
-    The transverse rows have no such pairing partner and keep the compact
-    stencil.
+    The spatial rows are kernel.spatial_accel with Phi = phi^2.
     """
     g = s.grid
-    e2 = p.e**2
     phi_sq = s.phi * s.phi
     bsq = lorentz_dot(s.B, s.B)
-
-    phi_ddot = deriv_xx(s.phi, g) + (e2 * bsq - p.m**2) * s.phi
+    phi_ddot = deriv_xx(s.phi, g) + (p.e**2 * bsq - p.m**2) * s.phi
 
     d_b1 = deriv_x(s.B[1], g)
     div_b = s.Bdot[0] - d_b1
-    b_ddot_i = np.empty((3, g.n))
-    b_ddot_i[0] = (
-        deriv_x(d_b1, g)
-        + deriv_x(div_b, g)
-        - 2.0 * e2 * s.B[1] * phi_sq
-    )
-    b_ddot_i[1] = deriv_xx(s.B[2], g) - 2.0 * e2 * s.B[2] * phi_sq
-    b_ddot_i[2] = deriv_xx(s.B[3], g) - 2.0 * e2 * s.B[3] * phi_sq
-    return phi_ddot, b_ddot_i
+    return phi_ddot, spatial_accel(s.B, div_b, d_b1, phi_sq, p, g)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,14 @@ class Params:
     soft_guards: bool = False
 
     def __post_init__(self) -> None:
-        if self.e == 0.0:
-            raise ValueError("coupling e must be nonzero")
-        if self.b0_floor <= 0.0 or self.phi_floor <= 0.0:
-            raise ValueError("floor guards must be positive")
+        # each message starts with the field name, so a config reader can
+        # name the key; a NaN floor would compare False and switch its guard off
+        checks = (("e", self.e != 0.0, "finite and nonzero"), ("m", True, "finite"),
+                  ("b0_floor", self.b0_floor > 0.0, "finite and positive"),
+                  ("phi_floor", self.phi_floor > 0.0, "finite and positive"))
+        for name, ok, need in checks:
+            if not (ok and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name}: must be {need}, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,33 @@ def lorentz_dot(u: Array, v: Array) -> Array:
     u^mu v_mu = u_0 v_0 - u_1 v_1 - u_2 v_2 - u_3 v_3 pointwise.
     """
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
+
+
+def spatial_accel(B: Array, div_b: Array, d_b1: Array, Phi: Array, p: Params,
+                  g: Grid1D) -> Array:
+    """Spatial rows (3, n) of box(B_i) - d_i(div B) = -2 e^2 B_i Phi, the
+    vector-field equation both integrators share:
+
+        B_ddot_1   = D(D B_1) + D(div B) - 2 e^2 B_1 Phi
+        B_ddot_2,3 = laplacian(B_2,3) - 2 e^2 B_2,3 Phi
+
+    The caller passes d_b1 = D B_1 and div_b = dB_0/dt - D B_1, and the
+    intensity Phi = phi^2, carried (full) or reconstructed (reduced).
+
+    B_1's second derivative is the composed stencil D(D .), not the compact
+    laplacian: the same composition appears inside D(div B), in the
+    constraint solve and in the intensity reconstruction, and one discrete
+    operator for all of them is what makes the time-differentiated
+    constraint close exactly (a mismatch feeds a grid-scale source into the
+    B_0 sector).  The transverse rows have no such pairing partner and keep
+    the compact stencil.
+    """
+    e2 = p.e**2
+    out = np.empty((3, g.n))
+    out[0] = deriv_x(d_b1, g) + deriv_x(div_b, g) - 2.0 * e2 * B[1] * Phi
+    out[1] = deriv_xx(B[2], g) - 2.0 * e2 * B[2] * Phi
+    out[2] = deriv_xx(B[3], g) - 2.0 * e2 * B[3] * Phi
+    return out
 
 
 # ---------------------------------------------------------------------------

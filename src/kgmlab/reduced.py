@@ -28,8 +28,6 @@ as ``charge_mean``; reconstruction adds it back.  See kernel.ReducedState.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel import (
@@ -43,11 +41,11 @@ from .kernel import (
     lorentz_dot,
     rk4,
     run_trajectory,
+    spatial_accel,
 )
 
 __all__ = [
     "DegenerateClosure",
-    "ReconstructionBundle",
     "accel_reduced",
     "phi_identity_check",
     "reconstruct_phi",
@@ -64,16 +62,6 @@ class DegenerateClosure(SimulationError):
 # ---------------------------------------------------------------------------
 # reconstruction chain
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReconstructionBundle:
-    """Matter intensity and its first two time derivatives, reconstructed
-    from electromagnetic data alone."""
-
-    Phi: Array
-    Phidot: Array
-    Phiddot: Array
 
 
 def _guarded_b0(s: ReducedState, p: Params) -> Array:
@@ -147,21 +135,22 @@ def _phi_dot(s: ReducedState, Phi: Array, b0: Array, div_b: Array,
     return (s.B[1] * dPhi - div_b * Phi) / b0
 
 
-def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBundle]:
-    """Second time derivatives of all four field components.
+def accel_reduced(s: ReducedState, p: Params) -> Array:
+    """Second time derivatives of all four field components, as one (4, n)
+    block.
 
     Elimination order: Phi, then Phidot, then the three spatial
-    accelerations, then Phiddot, and last the B_0 acceleration from the
-    differentiated conservation identity.  Returns the (4, n) acceleration
-    block and the reconstruction bundle used to produce it.
+    accelerations (kernel.spatial_accel with the reconstructed Phi), then
+    Phiddot, and last the B_0 acceleration from the differentiated
+    conservation identity.
 
     The derivatives those steps share (D B_1, D dB_1/dt, D Phi) and the
     guarded B_0 are formed once per call.
     """
     g = s.grid
     e2 = p.e**2
-    b0, b1, b2, b3 = s.B
-    bd0, bd1, bd2, bd3 = s.Bdot
+    b0, b1 = s.B[0], s.B[1]
+    bd0, bd1 = s.Bdot[0], s.Bdot[1]
 
     b0_safe = _guarded_b0(s, p)
     d_b1 = deriv_x(b1, g)
@@ -173,17 +162,8 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
     Phidot = _phi_dot(s, Phi, b0_safe, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
-    # Spatial components: box(B_i) - d/dx_i(div B) = -2 e^2 B_i Phi.  The
-    # mixed term is the x-derivative of the divergence field.  B_1's own
-    # second derivative is the composed D(D(.)) so that it cancels the
-    # matching piece inside the mixed term at the stencil level (same
-    # operator-pairing requirement as in reconstruct_phi); the transverse
-    # components have no mixed term and use the compact stencil.
-    d_div = deriv_x(div_b, g)
-    bsq = lorentz_dot(s.B, s.B)
-    b_ddot_1 = deriv_x(d_b1, g) + d_div - 2.0 * e2 * b1 * Phi
-    b_ddot_2 = deriv_xx(b2, g) - 2.0 * e2 * b2 * Phi
-    b_ddot_3 = deriv_xx(b3, g) - 2.0 * e2 * b3 * Phi
+    acc = np.empty((4, g.n))
+    acc[1:] = spatial_accel(s.B, div_b, d_b1, Phi, p, g)
 
     # Matter wave equation in Phi.  The quotient term is bounded on the
     # solution manifold (numerator is O(Phi) near zeros of Phi), so below
@@ -191,11 +171,13 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
     low = np.abs(Phi) < p.phi_floor
     quot = np.zeros_like(Phi)
     np.divide(Phidot**2 - dPhi**2, 2.0 * Phi, out=quot, where=~low)
+    bsq = lorentz_dot(s.B, s.B)
     Phiddot = deriv_xx(Phi, g) + quot + 2.0 * (e2 * bsq - p.m**2) * Phi
 
     # Closure: d/dt of [div(B) Phi + B^mu d_mu Phi] = 0, solved for the
     # B_0 acceleration.  Grouping the remaining terms as `bracket`,
-    #   b_ddot_0 = d/dx(dB_1/dt) - bracket / Phi.
+    #   b_ddot_0 = d/dx(dB_1/dt) - bracket / Phi,
+    # with the quotient left at 0 wherever Phi is below the floor.
     bracket = (
         div_b * Phidot
         + bd0 * Phidot
@@ -203,9 +185,9 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
         + b0 * Phiddot
         - b1 * dPhidot
     )
-    b_ddot_0 = np.empty_like(Phi)
-    np.divide(bracket, Phi, out=b_ddot_0, where=~low)
-    b_ddot_0 = d_bd1 - np.where(low, 0.0, b_ddot_0)
+    closure = np.zeros_like(Phi)
+    np.divide(bracket, Phi, out=closure, where=~low)
+    np.subtract(d_bd1, closure, out=acc[0])
 
     if np.any(low):
         # Divergence-freezing fallback is only admissible where the dropped
@@ -219,9 +201,7 @@ def accel_reduced(s: ReducedState, p: Params) -> tuple[Array, ReconstructionBund
                 f"B_0 acceleration undetermined at index {j} (t={s.t:g}): "
                 f"closure term {worst:.3e} exceeds fallback scale {scale:.3e}"
             )
-
-    b_ddot = np.stack([b_ddot_0, b_ddot_1, b_ddot_2, b_ddot_3])
-    return b_ddot, ReconstructionBundle(Phi=Phi, Phidot=Phidot, Phiddot=Phiddot)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +220,7 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     def rhs(t: float, B: Array, Bdot: Array) -> tuple[Array, Array]:
         stage = ReducedState(t=t, B=B, Bdot=Bdot, grid=s.grid,
                              charge_mean=s.charge_mean)
-        acc, _ = accel_reduced(stage, p)
-        return Bdot, acc
+        return Bdot, accel_reduced(stage, p)
 
     B, Bdot = rk4(rhs, s.t, (s.B, s.Bdot), dt)
     out = ReducedState(t=s.t + dt, B=B, Bdot=Bdot, grid=s.grid,

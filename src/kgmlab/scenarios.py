@@ -62,7 +62,15 @@ from .kernel import (
 PACKET_PEDESTAL = 0.5
 PACKET_B_FRACTIONS = (0.10, 0.06, 0.04)
 
-SCENARIO_NAMES = ("matter-packet", "pure-gauge-wave", "vacuum-offset")
+# Tuned per-scenario defaults: amplitudes gentle enough that grid
+# resolutions from 128 up sit in the asymptotic stencil regime.  The gauge
+# wave's offset 2 with unit amplitude keeps B_0 in [1, 3].
+_DEFAULTS = {
+    "matter-packet": dict(amplitude=0.3, width=1.4, wavenumber=1, offset=1.0),
+    "pure-gauge-wave": dict(amplitude=1.0, width=1.0, wavenumber=1, offset=2.0),
+    "vacuum-offset": dict(amplitude=0.0, width=1.0, wavenumber=0, offset=1.0),
+}
+SCENARIO_NAMES = tuple(_DEFAULTS)
 
 
 class SingularOperator(SimulationError):
@@ -83,18 +91,21 @@ class ScenarioSpec:
     wavenumber: int = 1
     offset: float = 1.0
 
+    def __post_init__(self) -> None:
+        # each message starts with the field name, as in kernel.Params
+        if self.name not in SCENARIO_NAMES:
+            raise ValueError(f"name: unknown scenario {self.name!r}; "
+                             f"expected one of {SCENARIO_NAMES}")
+        checks = (("amplitude", True, "finite"), ("offset", True, "finite"),
+                  ("width", self.width > 0.0, "finite and positive"))
+        for name, ok, need in checks:
+            if not (ok and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name}: must be {need}, got {getattr(self, name)!r}")
+
 
 def default_scenario(name: str) -> ScenarioSpec:
-    """Tuned per-scenario defaults (amplitudes gentle enough that grid
-    resolutions from 128 up sit in the asymptotic stencil regime)."""
-    if name == "matter-packet":
-        return ScenarioSpec(name=name, amplitude=0.3, width=1.4, wavenumber=1, offset=1.0)
-    if name == "pure-gauge-wave":
-        # offset 2 with unit wave amplitude keeps B_0 in [1, 3]
-        return ScenarioSpec(name=name, amplitude=1.0, width=1.0, wavenumber=1, offset=2.0)
-    if name == "vacuum-offset":
-        return ScenarioSpec(name=name, amplitude=0.0, width=1.0, wavenumber=0, offset=1.0)
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    """The tuned defaults of a named scenario; an unknown name raises."""
+    return ScenarioSpec(name=name, **_DEFAULTS.get(name, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,13 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     def apply(x: Array) -> Array:
         return deriv_x(deriv_x(x, g), g) - screen * x
 
-    x = inverse(rhs)
+    # a block screened by next to nothing is singular in floats: its
+    # Sherman-Morrison denominator rounds to zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = inverse(rhs)
+    if not np.all(np.isfinite(x)):
+        raise SingularOperator("the screened operator is numerically singular: "
+                               "the screening intensity is too weak for this grid")
     x += inverse(rhs - apply(x))
 
     # normwise backward error: forming K x alone costs about eps ||K|| ||x||,
@@ -271,18 +288,15 @@ def solve_gauss_rate(
     problem, only a division by the intensity.  Taking grid means shows the
     returned rate conserves mean(B_0 Phi) automatically.
 
-    Where Phi is identically zero the balance is vacuous (the constraint is
-    then exactly transported whatever Bdot_0 does) and the slice data do
-    not determine the rate.  The returned selection is Bdot_0 = D(B_1),
-    which starts the divergence combination Bdot_0 - D(B_1) at zero; the
-    same pointwise choice fills isolated spots where Phi dips below
-    phi_floor.
+    Wherever Phi is below phi_floor, identically zero included, the slice
+    data do not determine the rate (with no matter at all the constraint
+    is exactly transported whatever Bdot_0 does).  Those points take
+    Bdot_0 = D(B_1), which starts the divergence combination
+    Bdot_0 - D(B_1) at zero.
     """
     phi = np.asarray(phi, dtype=float)
     phi_sq = phi * phi
     d_b1 = deriv_x(np.asarray(b1, dtype=float), g)
-    if not np.any(phi_sq):
-        return d_b1.copy()
     phi_sq_dot = 2.0 * phi * np.asarray(phidot, dtype=float)
     numer = deriv_x(b1 * phi_sq, g) - np.asarray(b0, dtype=float) * phi_sq_dot
     low = phi_sq < p.phi_floor
@@ -315,19 +329,13 @@ def _packet_fields(spec: ScenarioSpec, g: Grid1D) -> tuple[Array, Array]:
 
 def make_scenario(spec: ScenarioSpec, p: Params, g: Grid1D) -> FullState:
     """Assemble a constraint-consistent FullState at t = 0."""
-    if spec.name not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {spec.name!r}; expected one of {SCENARIO_NAMES}")
-
     n = g.n
     B = np.zeros((4, n))
     Bdot = np.zeros((4, n))
     phi = np.zeros(n)
     phidot = np.zeros(n)
 
-    if spec.name == "vacuum-offset":
-        B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, offset=spec.offset)
-
-    elif spec.name == "pure-gauge-wave":
+    if spec.name == "pure-gauge-wave":
         # gradient of the gauge function c*t - (a/w) sin(w(x - t)): an exact
         # solution of the sourceless system with vanishing field strength
         x = g.x()
@@ -335,17 +343,15 @@ def make_scenario(spec: ScenarioSpec, p: Params, g: Grid1D) -> FullState:
         a = spec.amplitude * w
         B[1] = -a * np.cos(w * x)
         Bdot[1] = -a * w * np.sin(w * x)
-        B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, offset=spec.offset)
-        Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
+    elif spec.name == "matter-packet":
+        phi, B[1:] = _packet_fields(spec, g)
+    # vacuum-offset keeps every field zero but B_0
 
-    else:  # matter-packet
-        phi, b_i = _packet_fields(spec, g)
-        B[1:] = b_i
-        B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, offset=spec.offset)
-        # The algebraic rate conserves the charge mean by construction, so
-        # the emitted time derivative agrees pointwise with what stepping
-        # recomputes internally.
-        Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
+    B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, offset=spec.offset)
+    # The algebraic rate conserves the charge mean by construction, so the
+    # emitted time derivative agrees pointwise with what stepping
+    # recomputes internally; without matter it is D(B_1).
+    Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
 
     state = FullState(
         t=0.0,

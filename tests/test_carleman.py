@@ -510,7 +510,7 @@ def test_polynomialize_matches_integrator_pointwise():
     rhs = sys.rhs(x0)
     assert np.max(np.abs(rhs.imag)) == 0.0
     rhs = rhs.real
-    acc, _ = accel_reduced(s, p)
+    acc = accel_reduced(s, p)
     assert np.max(np.abs(rhs[:16].reshape(4, 4) - s.Bdot)) == 0.0
     assert np.max(np.abs(rhs[16:32].reshape(4, 4) - acc)) <= 1e-12
     Phi = reconstruct_phi(s, p)

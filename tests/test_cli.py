@@ -271,6 +271,30 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
     assert "not reachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, flags, key", [
+    ("params.e = nan", [], "params.e"),
+    ("params.m = inf", [], "params.m"),
+    ("params.b0_floor = nan", [], "params.b0_floor"),
+    ("params.phi_floor = nan", [], "params.phi_floor"),
+    ("scenario.amplitude = nan", [], "scenario.amplitude"),
+    ("scenario.offset = inf", [], "scenario.offset"),
+    ("scenario.width = 0", [], "scenario.width"),
+    ("", ["--t-end", "inf"], "time.t_end"),
+    ("", ["--t-end", "nan"], "time.t_end"),
+    ("", ["--dt", "nan"], "time.dt"),
+], ids=["e-nan", "m-inf", "b0_floor-nan", "phi_floor-nan", "amplitude-nan",
+        "offset-inf", "width-0", "t_end-inf", "t_end-nan", "dt-nan"])
+def test_non_finite_or_out_of_range_number_exits_2(tmp_path, capsys, line, flags, key):
+    # a NaN floor would switch its guard off and a bad time would fail
+    # deep inside the run; each is a config error naming its key
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"grid.n = 32\ntime.t_end = 0.1\n{line}\n")
+    code = main(["run-full", "--config", str(cfg_file), *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
 def test_bad_flag_exits_2(capsys):
     assert main(["run-full", "--no-such-flag"]) == 2
     capsys.readouterr()

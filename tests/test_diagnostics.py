@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from conftest import comb_dt
 from numpy.testing import assert_allclose
 
 from kgmlab.diagnostics import (
@@ -22,10 +21,6 @@ from kgmlab.full import run_full
 from kgmlab.kernel import FullState, Grid1D, Params
 from kgmlab.reduced import run_reduced
 from kgmlab.scenarios import default_scenario, make_scenario
-
-
-def comb_dt(t_end: float, h: float) -> float:
-    return t_end / math.ceil(t_end / (0.5 * h))
 
 
 def full_zeros(g: Grid1D) -> FullState:

@@ -9,20 +9,14 @@ the measured values are noted inline.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from conftest import comb_dt
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.full import accel_full, run_full, step_full
 from kgmlab.kernel import FullState, Grid1D, GuardViolation, NonFinite, Params
 from kgmlab.scenarios import default_scenario, make_scenario
-
-
-def comb_dt(t_end: float, h: float) -> float:
-    """Largest dt <= h/2 that lands exactly on t_end."""
-    return t_end / math.ceil(t_end / (0.5 * h))
 
 
 def state_distance(a: FullState, b: FullState) -> float:

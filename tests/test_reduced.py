@@ -9,10 +9,9 @@ calibration constants are noted inline next to each frozen tolerance.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from conftest import comb_dt
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.diagnostics import compare
@@ -34,10 +33,6 @@ from kgmlab.reduced import (
     step_reduced,
 )
 from kgmlab.scenarios import default_scenario, make_scenario
-
-
-def comb_dt(t_end: float, h: float) -> float:
-    return t_end / math.ceil(t_end / (0.5 * h))
 
 
 def em_state(g: Grid1D, B=None, Bdot=None, charge_mean=0.0) -> ReducedState:
@@ -157,11 +152,11 @@ def test_accel_gauge_wave_b0_closed_form():
     g = Grid1D(n=128)
     p = Params()
     s = make_scenario(default_scenario("pure-gauge-wave"), p, g).to_reduced()
-    B_ddot, bundle = accel_reduced(s, p)
+    B_ddot = accel_reduced(s, p)
     assert np.max(np.abs(B_ddot[0] - (-np.cos(g.x())))) <= 0.5 * g.h**2
     assert np.max(np.abs(B_ddot[1] - np.cos(g.x()))) <= 0.5 * g.h**2
     # whole-grid vacuum: the closure fallback owns every point
-    assert np.max(np.abs(bundle.Phi)) <= 1e-12
+    assert np.max(np.abs(reconstruct_phi(s, p))) <= 1e-12
 
 
 def test_accel_matches_full_system_time_differences():
@@ -174,7 +169,7 @@ def test_accel_matches_full_system_time_differences():
     fwd = step_full(s0, delta, p)
     bwd = step_full(s0, -delta, p)
     fd = (fwd.B - 2.0 * s0.B + bwd.B) / delta**2
-    B_ddot, _ = accel_reduced(s0.to_reduced(), p)
+    B_ddot = accel_reduced(s0.to_reduced(), p)
     scale = float(np.max(np.abs(fd)))
     assert np.max(np.abs(B_ddot - fd)) <= 0.5 * (g.h**2 + delta**2) * scale
 
@@ -192,20 +187,8 @@ def test_accel_degenerate_closure_raises():
     with pytest.raises(DegenerateClosure, match="closure"):
         accel_reduced(s, p)
     # soft guards: fallback acceleration, finite output
-    B_ddot, _ = accel_reduced(s, Params(soft_guards=True))
+    B_ddot = accel_reduced(s, Params(soft_guards=True))
     assert np.all(np.isfinite(B_ddot))
-
-
-def test_accel_bundle_bit_identical_to_public_reconstruction():
-    # accel_reduced shares its derivatives between the reconstruction steps;
-    # the public functions recompute them and must agree to the last bit
-    g = Grid1D(n=128)
-    p = Params()
-    s = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-    _, bundle = accel_reduced(s, p)
-    Phi = reconstruct_phi(s, p)
-    assert_array_equal(bundle.Phi, Phi)
-    assert_array_equal(bundle.Phidot, reconstruct_phi_dot(s, Phi, p))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +310,7 @@ def test_identity_check_vacuum_exact():
     B = np.zeros((4, g.n))
     B[0] = 1.0
     s = em_state(g, B=B)
-    B_ddot, _ = accel_reduced(s, p)
+    B_ddot = accel_reduced(s, p)
     assert np.max(phi_identity_check(s, B_ddot, p)) == 0.0
 
 
@@ -339,7 +322,7 @@ def test_identity_check_on_solution_snapshots():
         g = Grid1D(n=n)
         s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
         st = run_reduced(s0, comb_dt(0.5, g.h), 0.5, p, every=10**9).states[-1]
-        B_ddot, _ = accel_reduced(st, p)
+        B_ddot = accel_reduced(st, p)
         res[n] = float(np.max(phi_identity_check(st, B_ddot, p)))
         assert res[n] <= 0.5 * g.h**2
     assert 2.6 <= res[128] / res[256] <= 5.4
@@ -353,7 +336,7 @@ def test_identity_check_flags_corruption():
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
     st = run_reduced(s0, comb_dt(0.5, g.h), 0.5, p, every=10**9).states[-1]
-    B_ddot, _ = accel_reduced(st, p)
+    B_ddot = accel_reduced(st, p)
     clean = float(np.max(phi_identity_check(st, B_ddot, p)))
 
     rng = np.random.default_rng(7)

@@ -8,6 +8,7 @@ an error term.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
@@ -290,3 +291,15 @@ def test_perturbed_solve_trips_residual_gate(monkeypatch, charge_mean):
                         lambda *args: solve(*args) * (1.0 + 1e-3))
     with pytest.raises(SimulationError, match="residual"):
         solve_gauss_constraint(phi, bdot_i, p, g, charge_mean=charge_mean)
+
+
+@pytest.mark.parametrize("n, amplitude", [(128, 1e-8), (4096, 1e-7)])
+def test_numerically_singular_screening_raises_singular_operator(n, amplitude):
+    # a packet this faint screens each block by far less than the roundoff
+    # of its 1/h^2 coupling, so the Sherman-Morrison denominator rounds to
+    # zero; that is a singular operator, reported without a float warning
+    spec = replace(default_scenario("matter-packet"), amplitude=amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularOperator, match="numerically singular"):
+            make_scenario(spec, Params(), Grid1D(n=n))
