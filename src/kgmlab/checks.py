@@ -37,7 +37,7 @@ from .carleman import (
     tiny_reduced_embedding,
 )
 from .diagnostics import observed_order
-from .kernel import Grid1D, Params
+from .kernel import Grid1D, Params, comb_dt
 from .reduced import (
     accel_reduced,
     phi_identity_check,
@@ -57,16 +57,15 @@ __all__ = ["CRITERIA"]
 
 _LADDER = (128, 256, 512)
 _T_END = 1.0
-# Step counts double with the grid so dt halves exactly level to level;
-# the coarsest count is the largest dt <= 0.5 h comb for n = 128.
-_BASE_STEPS = math.ceil(_T_END / (0.5 * (2.0 * np.pi / _LADDER[0])))
 
 
 @lru_cache(maxsize=None)
 def _ladder_level(n: int) -> dict[str, float]:
     g = Grid1D(n=n)
     p = Params()
-    dt = _T_END / (_BASE_STEPS * n // _LADDER[0])
+    # dt halves exactly level to level from the comb step of the coarsest
+    # grid (the finer grids' own combs need not halve: 41, 82, 163 steps)
+    dt = comb_dt(_T_END, Grid1D(n=_LADDER[0])) * _LADDER[0] / n
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
     # every=1 keeps the snapshot comb uniform through the endpoint; a
     # stride that does not divide the step count leaves a short final
@@ -130,7 +129,7 @@ def _check_gauge_wave_regression() -> tuple[bool, str]:
     p = Params()
     s0 = make_scenario(default_scenario("pure-gauge-wave"), p, g).to_reduced()
     period = 2.0 * np.pi
-    dt = period / math.ceil(period / (0.5 * g.h))
+    dt = comb_dt(period, g)
     traj = run_reduced(s0, dt, period, p, every=8)
 
     final = traj.states[-1]

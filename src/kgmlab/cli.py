@@ -36,9 +36,23 @@ from .carleman import (
     rotation_system,
     tiny_reduced_embedding,
 )
-from .diagnostics import compare, current_residual, observed_order
+from .diagnostics import (
+    compare,
+    current_residual,
+    observed_order,
+    snapshot_extras,
+    total_energy,
+)
 from .full import run_full
-from .kernel import FullState, Grid1D, Params, ReducedState, SimulationError, Trajectory
+from .kernel import (
+    FullState,
+    Grid1D,
+    Params,
+    ReducedState,
+    SimulationError,
+    Trajectory,
+    comb_dt,
+)
 from .reduced import run_reduced
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, default_scenario, make_scenario
 
@@ -75,40 +89,37 @@ class TruncatedFile(SimulationError):
 # ---------------------------------------------------------------------------
 #
 # One flat namespace of dotted keys.  _CONFIG_KEYS is the one place a key is
-# defined: it maps the key to the field it sets and the type its value is
-# cast to.  scenario.* keys set ScenarioSpec fields, the others RunConfig
-# fields, and a command-line flag whose dest is a RunConfig field name
-# overrides that field.  config.txt echoes the keys in the table's order.
-# time.dt = 0 means "derive the largest dt <= 0.5 h that lands exactly on
-# t_end" (the stable step comb); any other value is taken literally, with a
-# warning when it exceeds 0.5 h.
+# defined: it maps the key to the object that owns its field (a RunConfig
+# attribute, or None for RunConfig itself), the field, and the type its
+# value is cast to.  A command-line flag's dest is the key it overrides.
+# config.txt echoes the keys in the table's order.  The defaults and range
+# checks are those of the owning types.  time.dt = 0 means "derive the
+# stable step comb" (kernel.comb_dt); any other value is taken literally,
+# with a warning when it exceeds 0.5 h.
 
-_CONFIG_KEYS: dict[str, tuple[str, type]] = {
-    "grid.n": ("n", int),
-    "grid.length": ("length", float),
-    "params.e": ("e", float),
-    "params.m": ("m", float),
-    "params.b0_floor": ("b0_floor", float),
-    "params.phi_floor": ("phi_floor", float),
-    "time.dt": ("dt", float),
-    "time.t_end": ("t_end", float),
-    "scenario.name": ("name", str),
-    "scenario.amplitude": ("amplitude", float),
-    "scenario.width": ("width", float),
-    "scenario.wavenumber": ("wavenumber", int),
-    "scenario.offset": ("offset", float),
-    "output.every": ("every", int),
-    "output.dir": ("out_dir", str),
+_CONFIG_KEYS: dict[str, tuple[str | None, str, type]] = {
+    "grid.n": ("grid", "n", int),
+    "grid.length": ("grid", "length", float),
+    "params.e": ("params", "e", float),
+    "params.m": ("params", "m", float),
+    "params.b0_floor": ("params", "b0_floor", float),
+    "params.phi_floor": ("params", "phi_floor", float),
+    "time.dt": (None, "dt", float),
+    "time.t_end": (None, "t_end", float),
+    "scenario.name": ("scenario", "name", str),
+    "scenario.amplitude": ("scenario", "amplitude", float),
+    "scenario.width": ("scenario", "width", float),
+    "scenario.wavenumber": ("scenario", "wavenumber", int),
+    "scenario.offset": ("scenario", "offset", float),
+    "output.every": (None, "every", int),
+    "output.dir": (None, "out_dir", str),
 }
 
 
-def _is_scenario_key(key: str) -> bool:
-    return key.startswith("scenario.")
-
-
-def _parse_pairs(text: str) -> dict[str, str]:
-    """Key/value lines to a dict; full-line # comments and blanks skipped."""
-    pairs: dict[str, str] = {}
+def _parse_pairs(text: str) -> dict[str, object]:
+    """Key/value lines to a dict of typed values; full-line # comments and
+    blanks skipped."""
+    pairs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,12 +128,14 @@ def _parse_pairs(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        pairs[key] = value
+        try:
+            pairs[key] = _CONFIG_KEYS[key][2](value.strip())
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from err
     return pairs
 
 
@@ -130,43 +143,41 @@ def _parse_pairs(text: str) -> dict[str, str]:
 class RunConfig:
     """Fully resolved run configuration; immutable and value-comparable."""
 
-    n: int = 256
-    length: float = 2.0 * np.pi
-    e: float = 1.0
-    m: float = 1.0
-    b0_floor: float = 1.0e-6
-    phi_floor: float = 1.0e-3
+    grid: Grid1D = Grid1D(n=256)
+    params: Params = Params()
+    scenario: ScenarioSpec = default_scenario("matter-packet")
     dt: float = 0.0
     t_end: float = 1.0
-    scenario: ScenarioSpec = None  # type: ignore[assignment]
     every: int = 1
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.scenario is None:
-            object.__setattr__(self, "scenario", default_scenario("matter-packet"))
+        if self.every < 1:
+            raise ConfigError(f"output.every must be >= 1, got {self.every}")
+        for key, value in (("time.dt", self.dt), ("time.t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
 
     @classmethod
-    def from_pairs(cls, pairs: dict[str, str]) -> "RunConfig":
-        run_fields: dict[str, object] = {}
-        scenario_fields: dict[str, object] = {}
-        for key, raw in pairs.items():
-            field_name, cast = _CONFIG_KEYS[key]
+    def from_pairs(cls, pairs: dict[str, object]) -> "RunConfig":
+        """Config from typed key values.  Unset fields keep the defaults;
+        explicit scenario.* keys land on that scenario's defaults."""
+        fields: dict[str | None, dict[str, object]] = {
+            None: {}, "grid": {}, "params": {}, "scenario": {}}
+        for key, value in pairs.items():
+            owner, name, _ = _CONFIG_KEYS[key]
+            fields[owner][name] = value
+        parts = {}
+        for owner in ("grid", "params", "scenario"):
+            given = fields[owner]
+            # the owners' messages start with the field name
             try:
-                value = cast(raw)
+                start = (default_scenario(given.get("name", cls.scenario.name))
+                         if owner == "scenario" else getattr(cls, owner))
+                parts[owner] = replace(start, **given)
             except ValueError as err:
-                raise ConfigError(f"{key}: {err}") from err
-            target = scenario_fields if _is_scenario_key(key) else run_fields
-            target[field_name] = value
-
-        # explicit scenario.* keys land on top of that scenario's defaults;
-        # ScenarioSpec's messages start with the field name
-        try:
-            spec = default_scenario(scenario_fields.get("name", "matter-packet"))
-            spec = replace(spec, **scenario_fields)
-        except ValueError as err:
-            raise ConfigError(f"scenario.{err}") from err
-        return cls(scenario=spec, **run_fields)
+                raise ConfigError(f"{owner}.{err}") from err
+        return cls(**parts, **fields[None])
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -180,38 +191,18 @@ class RunConfig:
         parseable form.
         """
         lines = ["# effective configuration"]
-        for key, (field_name, cast) in _CONFIG_KEYS.items():
-            owner = self.scenario if _is_scenario_key(key) else self
-            value = cast(getattr(owner, field_name))
+        for key, (owner, name, cast) in _CONFIG_KEYS.items():
+            value = cast(getattr(self if owner is None else getattr(self, owner), name))
             lines.append(f"{key} = {value!r}" if cast is float else f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
-    # -- derived objects ----------------------------------------------------
-
-    def grid(self) -> Grid1D:
-        try:
-            return Grid1D(n=self.n, length=self.length)
-        except ValueError as err:
-            raise ConfigError(f"grid: {err}") from err
-
-    def params(self) -> Params:
-        try:
-            return Params(e=self.e, m=self.m,
-                          b0_floor=self.b0_floor, phi_floor=self.phi_floor)
-        except ValueError as err:
-            raise ConfigError(f"params.{err}") from err
-
-    def resolved_dt(self, g: Grid1D) -> float:
-        """The literal time.dt, or the 0.5 h comb step when time.dt = 0."""
-        if self.dt != 0.0:
-            return self.dt
-        if self.t_end == 0.0:
-            return 0.5 * g.h
-        return self.t_end / math.ceil(abs(self.t_end) / (0.5 * g.h))
+    def resolved_dt(self) -> float:
+        """The literal time.dt, or the comb step when time.dt = 0."""
+        return self.dt if self.dt != 0.0 else comb_dt(self.t_end, self.grid)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    pairs: dict[str, str] = {}
+    pairs: dict[str, object] = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
@@ -219,22 +210,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except OSError as err:
             raise ConfigError(f"cannot read config file {config_path!r}: {err}") from err
         pairs = _parse_pairs(text)
-
-    # --scenario picks the defaults the file's scenario.* keys land on
-    scenario = getattr(args, "scenario", None)
-    if scenario is not None:
-        pairs["scenario.name"] = scenario
-    cfg = RunConfig.from_pairs(pairs)
-    overrides = {field_name: getattr(args, field_name, None)
-                 for key, (field_name, _) in _CONFIG_KEYS.items()
-                 if not _is_scenario_key(key)}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if cfg.every < 1:
-        raise ConfigError(f"output.every must be >= 1, got {cfg.every}")
-    for key, value in (("time.dt", cfg.dt), ("time.t_end", cfg.t_end)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value!r}")
-    return cfg
+    # flags beat the file; --scenario picks the defaults the file's
+    # scenario.* keys land on
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            pairs[key] = getattr(args, key)
+    return RunConfig.from_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,40 +324,42 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj) -> None:
     with (out_dir / "extras.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_EXTRAS_FIELDS)
-        for extra in traj.extras:
+        for state in traj.states:
+            extra = snapshot_extras(state, cfg.params)
             writer.writerow([repr(float(extra[f])) for f in _EXTRAS_FIELDS])
 
 
-def _prepared_run(cfg: RunConfig) -> tuple[Grid1D, Params, float, FullState]:
-    g = cfg.grid()
-    p = cfg.params()
-    dt = cfg.resolved_dt(g)
+def _prepared_run(cfg: RunConfig) -> tuple[float, FullState]:
+    g = cfg.grid
+    dt = cfg.resolved_dt()
     if abs(dt) > 0.5 * g.h + 1e-15:
         print(f"warning: dt={dt:g} exceeds the stable comb 0.5*h={0.5 * g.h:g}; "
               "expect accuracy and stability loss", file=sys.stderr)
-    s0 = make_scenario(cfg.scenario, p, g)
-    return g, p, dt, s0
+    return dt, make_scenario(cfg.scenario, cfg.params, g)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    g, p, dt, s0 = _prepared_run(cfg)
+    dt, s0 = _prepared_run(cfg)
     if args.flavor == "reduced":
-        traj = run_reduced(s0.to_reduced(), dt, cfg.t_end, p, every=cfg.every)
+        traj = run_reduced(s0.to_reduced(), dt, cfg.t_end, cfg.params, every=cfg.every)
     else:
-        traj = run_full(s0, dt, cfg.t_end, p, every=cfg.every)
+        traj = run_full(s0, dt, cfg.t_end, cfg.params, every=cfg.every)
     out_dir = Path(cfg.out_dir)
     _write_run_outputs(out_dir, cfg, traj)
-    print(f"run-{args.flavor}: {cfg.scenario.name} n={g.n} dt={dt:g} "
+    print(f"run-{args.flavor}: {cfg.scenario.name} n={cfg.grid.n} dt={dt:g} "
           f"t_end={cfg.t_end:g}; {len(traj)} snapshots -> {out_dir}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    # a NaN tolerance would compare False and pass every run
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     cfg = _load_config(args)
-    g, p, dt, s0 = _prepared_run(cfg)
-    traj_full = run_full(s0, dt, cfg.t_end, p, every=cfg.every)
-    traj_red = run_reduced(s0.to_reduced(), dt, cfg.t_end, p, every=cfg.every)
+    dt, s0 = _prepared_run(cfg)
+    traj_full = run_full(s0, dt, cfg.t_end, cfg.params, every=cfg.every)
+    traj_red = run_reduced(s0.to_reduced(), dt, cfg.t_end, cfg.params, every=cfg.every)
     report = compare(traj_full, traj_red)
 
     out_dir = Path(cfg.out_dir)
@@ -418,7 +401,7 @@ def ladder_level(s0: FullState, dt: float, t_end: float, p: Params,
     out = {"h": s0.grid.h, "dt": dt,
            "equivalence": compare(traj_full, traj_red).max_rel_linf}
     for tag, traj in (("full", traj_full), ("reduced", traj_red)):
-        energies = np.array([extra["energy"] for extra in traj.extras])
+        energies = np.array([total_energy(s, p) for s in traj.states])
         scale = max(abs(energies[0]), 1e-300)
         out[f"energy_{tag}"] = float(np.max(np.abs(energies - energies[0])) / scale)
         out[f"current_{tag}"] = float(np.max(np.abs(current_residual(traj, p))))
@@ -428,16 +411,16 @@ def ladder_level(s0: FullState, dt: float, t_end: float, p: Params,
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
-        levels = tuple(int(v) for v in args.levels.split(","))
+        grids = [replace(cfg.grid, n=int(v)) for v in args.levels.split(",")]
     except ValueError as err:
         raise ConfigError(f"--levels: {err}") from err
-    if len(levels) < 2:
+    if len(grids) < 2:
         raise ConfigError("--levels needs at least two grid sizes")
 
     results = []
-    for n in levels:
-        _, p, dt, s0 = _prepared_run(replace(cfg, n=n, dt=0.0))
-        results.append(ladder_level(s0, dt, cfg.t_end, p, cfg.every)[0])
+    for g in grids:
+        dt, s0 = _prepared_run(replace(cfg, grid=g, dt=0.0))
+        results.append(ladder_level(s0, dt, cfg.t_end, cfg.params, cfg.every)[0])
 
     header = ("n", "h", "equivalence", "energy_drift_full",
               "energy_drift_reduced", "current_residual_full",
@@ -445,8 +428,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for n, level in zip(levels, results):
-        writer.writerow([n] + [repr(float(level[key])) for key in _LEVEL_KEYS])
+    for g, level in zip(grids, results):
+        writer.writerow([g.n] + [repr(float(level[key])) for key in _LEVEL_KEYS])
     csv_text = buf.getvalue()
     print(csv_text, end="")
 
@@ -476,6 +459,14 @@ def _cmd_carleman(args: argparse.Namespace) -> int:
         # the 24-variable embedding only converges at affordable cutoffs
         # over a short horizon; default inside that window
         args.t_end = 0.05 if args.system == "reduced-tiny" else 1.0
+    if args.xi0 is None:
+        args.xi0 = 0.5
+    elif args.system in ("lotka", "reduced-tiny"):
+        raise ConfigError(f"--xi0 does not apply to {args.system}, which starts "
+                          "from a fixed state")
+    for flag, value in (("--t-end", args.t_end), ("--xi0", args.xi0)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.system == "riccati":
         return _demo_riccati(args)
     if args.system == "rotation":
@@ -551,22 +542,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+# run flag -> (the config key it overrides, help)
+_RUN_FLAGS = {
+    "--scenario": ("scenario.name", f"scenario name, one of {', '.join(SCENARIO_NAMES)} "
+                                    "(default matter-packet)"),
+    "--n": ("grid.n", "grid points (power of two, default 256)"),
+    "--length": ("grid.length", "domain length (default 2*pi)"),
+    "--dt": ("time.dt", "time step; 0 or omitted derives the 0.5*h comb step"),
+    "--t-end": ("time.t_end", "end time (default 1.0)"),
+    "--every": ("output.every", "snapshot stride in steps (default 1)"),
+    "--out": ("output.dir", "output directory (default 'out')"),
+}
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
     sub.add_argument("--config", help="path to a key = value configuration file")
-    sub.add_argument("--scenario",
-                     help=f"scenario name, one of {', '.join(SCENARIO_NAMES)} "
-                          "(default matter-packet)")
-    sub.add_argument("--n", type=int, help="grid points (power of two, default 256)")
-    sub.add_argument("--length", type=float,
-                     help="domain length (default 2*pi)")
-    sub.add_argument("--dt", type=float,
-                     help="time step; 0 or omitted derives the 0.5*h comb step")
-    sub.add_argument("--t-end", dest="t_end", type=float,
-                     help="end time (default 1.0)")
-    sub.add_argument("--every", type=int,
-                     help="snapshot stride in steps (default 1)")
-    sub.add_argument("--out", dest="out_dir", metavar="OUT",
-                     help="output directory (default 'out')")
+    for flag, (key, help_) in _RUN_FLAGS.items():
+        if flag not in omit:
+            sub.add_argument(flag, dest=key, type=_CONFIG_KEYS[key][2], help=help_,
+                             metavar=flag[2:].upper().replace("-", "_"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -597,9 +591,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="grid-refinement ladder: equivalence, energy drift, charge "
              "balance, and their observed orders")
-    _add_config_flags(sub)
+    _add_config_flags(sub, omit=("--n", "--dt"))
     sub.add_argument("--levels", default="128,256,512",
-                     help="comma-separated grid sizes (default 128,256,512)")
+                     help="comma-separated grid sizes (default 128,256,512); "
+                          "each level replaces a config file's grid.n and "
+                          "runs on the comb step, replacing its time.dt")
     sub.set_defaults(func=_cmd_convergence)
 
     sub = subs.add_parser(
@@ -609,8 +605,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("system",
                      choices=("riccati", "rotation", "lotka", "reduced-tiny"),
                      help="demo system")
-    sub.add_argument("--xi0", type=float, default=0.5,
-                     help="initial amplitude (default 0.5)")
+    sub.add_argument("--xi0", type=float, default=None,
+                     help="initial amplitude of riccati and rotation "
+                          "(default 0.5); lotka and reduced-tiny start from "
+                          "fixed states")
     sub.add_argument("--cutoff", type=int, default=None,
                      help="total-occupation cutoff (default 16; reduced-tiny "
                           "sweeps 1..cutoff and defaults to 3)")

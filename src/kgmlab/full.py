@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import snapshot_extras
 from .kernel import (
     Array,
     FullState,
@@ -155,4 +154,4 @@ def run_full(s0: FullState, dt: float, t_end: float, p: Params,
              every: int = 1) -> Trajectory:
     """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
     see kernel.run_trajectory for the step comb and error reporting."""
-    return run_trajectory(step_full, snapshot_extras, s0, dt, t_end, p, every)
+    return run_trajectory(step_full, s0, dt, t_end, p, every)

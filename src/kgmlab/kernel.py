@@ -17,6 +17,7 @@ recomputed from the field equations wherever needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -54,10 +55,11 @@ class Grid1D:
     length: float = 2.0 * np.pi
 
     def __post_init__(self) -> None:
+        # each message starts with the field name, as in Params
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 2, got {self.n}")
+            raise ValueError(f"n: must be a power of two >= 2, got {self.n}")
         if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"grid length must be positive and finite, got {self.length}")
+            raise ValueError(f"length: must be positive and finite, got {self.length}")
 
     @property
     def h(self) -> float:
@@ -283,18 +285,13 @@ class FullState(ReducedState):
 
 @dataclass
 class Trajectory:
-    """Snapshots emitted by a run, plus per-snapshot diagnostics dictionaries."""
+    """Snapshots emitted by a run."""
 
     states: list
-    extras: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("a trajectory needs at least one snapshot")
-        if self.extras and len(self.extras) != len(self.states):
-            raise ValueError("extras must be empty or match states one to one")
-        if not self.extras:
-            self.extras = [{} for _ in self.states]
 
     @property
     def grid(self) -> Grid1D:
@@ -332,10 +329,18 @@ def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array
     )
 
 
-def run_trajectory(step: Callable, extras: Callable, s0: ReducedState,
-                   dt: float, t_end: float, p: Params, every: int) -> Trajectory:
+def comb_dt(t_end: float, g: Grid1D) -> float:
+    """The stable step comb: the largest dt <= h/2 that lands exactly on
+    t_end (h/2 itself when t_end = 0)."""
+    if t_end == 0.0:
+        return 0.5 * g.h
+    return t_end / math.ceil(abs(t_end) / (0.5 * g.h))
+
+
+def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
+                   p: Params, every: int) -> Trajectory:
     """Integrate with step(s, dt, p) to t_end, snapshotting every `every`
-    steps (plus endpoints), each with its extras(s, p) dictionary.
+    steps (plus endpoints).
 
     Snapshot times are s0.t + k*dt with exact integer step counts; t_end
     must sit on the step comb to within 1e-9.  A SimulationError from a
@@ -351,7 +356,6 @@ def run_trajectory(step: Callable, extras: Callable, s0: ReducedState,
         raise ValueError(f"t_end={t_end!r} is not reachable from t={s0.t!r} in steps of {dt!r}")
 
     states = [s0.copy()]
-    snap_extras = [extras(states[0], p)]
     s = s0
     for k in range(1, n_steps + 1):
         try:
@@ -360,5 +364,4 @@ def run_trajectory(step: Callable, extras: Callable, s0: ReducedState,
             raise type(err)(f"step to t={s.t + dt:g} failed: {err}") from err
         if k % every == 0 or k == n_steps:
             states.append(s)
-            snap_extras.append(extras(s, p))
-    return Trajectory(states=tuple(states), extras=tuple(snap_extras))
+    return Trajectory(states=tuple(states))

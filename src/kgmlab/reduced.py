@@ -235,9 +235,7 @@ def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
                 every: int = 1) -> Trajectory:
     """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
     see kernel.run_trajectory for the step comb and error reporting."""
-    from .diagnostics import snapshot_extras  # deferred: diagnostics imports this module
-
-    return run_trajectory(step_reduced, snapshot_extras, s0, dt, t_end, p, every)
+    return run_trajectory(step_reduced, s0, dt, t_end, p, every)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Shared fixtures and reference implementations.
 
-comb_dt is the stable step comb the integrator tests share.
-
 The package's stencils are slice forms that promise bit-identical output to
 the textbook periodic-shift definitions below.  Tests compare against these
 references directly, or swap them into the package to check that whole
@@ -23,11 +21,6 @@ import pytest
 import scipy.sparse as sp
 
 import kgmlab.kernel
-
-
-def comb_dt(t_end: float, h: float) -> float:
-    """Largest dt <= h/2 that lands exactly on t_end."""
-    return t_end / math.ceil(t_end / (0.5 * h))
 
 
 def roll_deriv_x(f, g):

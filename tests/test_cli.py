@@ -39,7 +39,8 @@ def packet_state(n: int = 32) -> FullState:
 
 def test_config_defaults():
     cfg = RunConfig()
-    assert cfg.n == 256 and cfg.t_end == 1.0 and cfg.dt == 0.0
+    assert cfg.grid == Grid1D(n=256) and cfg.params == Params()
+    assert cfg.t_end == 1.0 and cfg.dt == 0.0
     assert cfg.scenario == default_scenario("matter-packet")
 
 
@@ -54,7 +55,7 @@ def test_config_parse_and_override_order():
     output.every = 3
     """
     cfg = RunConfig.parse(text)
-    assert cfg.n == 64 and cfg.every == 3 and cfg.t_end == 0.5
+    assert cfg.grid.n == 64 and cfg.every == 3 and cfg.t_end == 0.5
     # explicit scenario.* keys land on top of that scenario's defaults
     assert cfg.scenario.name == "pure-gauge-wave"
     assert cfg.scenario.amplitude == 0.25
@@ -117,8 +118,8 @@ def test_config_default_echo_text():
 
 def test_config_comb_step_covers_t_end_exactly():
     cfg = RunConfig.parse("grid.n = 64\ntime.t_end = 0.2\n")
-    g = cfg.grid()
-    dt = cfg.resolved_dt(g)
+    g = cfg.grid
+    dt = cfg.resolved_dt()
     assert dt <= 0.5 * g.h + 1e-15
     steps = round(cfg.t_end / dt)
     assert steps * dt == pytest.approx(cfg.t_end, abs=1e-12)
@@ -224,7 +225,7 @@ def test_run_effective_config_echo_round_trips(tmp_path):
     assert main(["run-reduced", "--n", "32", "--t-end", "0.1", "--dt", "0.025",
                  "--scenario", "vacuum-offset", "--out", str(out)]) == 0
     echoed = RunConfig.parse((out / "config.txt").read_text())
-    assert echoed.n == 32 and echoed.dt == 0.025
+    assert echoed.grid.n == 32 and echoed.dt == 0.025
     assert echoed.scenario == default_scenario("vacuum-offset")
     assert echoed.out_dir == str(out)
 
@@ -235,7 +236,7 @@ def test_config_file_with_flag_override(tmp_path):
                         f"output.dir = {tmp_path / 'cfgout'}\n")
     assert main(["run-reduced", "--config", str(cfg_file), "--n", "64"]) == 0
     echoed = RunConfig.parse((tmp_path / "cfgout" / "config.txt").read_text())
-    assert echoed.n == 64          # flag beats file
+    assert echoed.grid.n == 64     # flag beats file
     assert echoed.t_end == 0.1     # file beats default
 
 
@@ -282,8 +283,11 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
     ("", ["--t-end", "inf"], "time.t_end"),
     ("", ["--t-end", "nan"], "time.t_end"),
     ("", ["--dt", "nan"], "time.dt"),
+    ("", ["--n", "48"], "grid.n"),
+    ("grid.length = 0", [], "grid.length"),
 ], ids=["e-nan", "m-inf", "b0_floor-nan", "phi_floor-nan", "amplitude-nan",
-        "offset-inf", "width-0", "t_end-inf", "t_end-nan", "dt-nan"])
+        "offset-inf", "width-0", "t_end-inf", "t_end-nan", "dt-nan", "n-48",
+        "length-0"])
 def test_non_finite_or_out_of_range_number_exits_2(tmp_path, capsys, line, flags, key):
     # a NaN floor would switch its guard off and a bad time would fail
     # deep inside the run; each is a config error naming its key
@@ -323,6 +327,15 @@ def test_compare_exit_codes_by_tolerance(tmp_path, capsys):
     assert "exceeds tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+def test_compare_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # max_rel_linf > nan is False, so a NaN tolerance would pass every run
+    code = main(["compare", "--n", "32", "--t-end", "0.1", "--tol", tol,
+                 "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_carleman_riccati_prints_error_vs_closed_form(capsys):
     # cutoff 10 sits above the coherent-tail warning threshold for xi0 = 0.5
     assert main(["carleman", "riccati", "--xi0", "0.5", "--cutoff", "10",
@@ -343,6 +356,25 @@ def test_carleman_rejects_bad_cutoff(capsys):
     assert "cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["riccati", "--t-end", "inf"], "--t-end"),
+    (["lotka", "--t-end", "inf"], "--t-end"),
+    (["reduced-tiny", "--t-end", "inf"], "--t-end"),
+    (["riccati", "--t-end", "nan"], "--t-end"),
+    (["riccati", "--xi0", "nan"], "--xi0"),
+    (["rotation", "--xi0", "inf"], "--xi0"),
+    (["lotka", "--xi0", "3.0"], "--xi0"),
+    (["reduced-tiny", "--xi0", "0.1"], "--xi0"),
+], ids=["riccati-t_end-inf", "lotka-t_end-inf", "reduced-tiny-t_end-inf",
+        "riccati-t_end-nan", "riccati-xi0-nan", "rotation-xi0-inf",
+        "lotka-xi0", "reduced-tiny-xi0"])
+def test_carleman_rejects_non_finite_or_unused_number(capsys, argv, flag):
+    # lotka and reduced-tiny start from fixed states, so an explicit --xi0
+    # would be ignored silently
+    assert main(["carleman", *argv, "--cutoff", "2"]) == 2
+    assert f"config error: {flag} " in capsys.readouterr().err
+
+
 def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert main(["convergence", "--levels", "32,64", "--t-end", "0.25",
                  "--every", "2", "--out", str(tmp_path / "v")]) == 0
@@ -350,6 +382,14 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert out.startswith("n,h,equivalence")
     assert "observed_order[equivalence]" in out
     assert (tmp_path / "v" / "convergence.csv").read_text().startswith("n,h,")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--dt"])
+def test_convergence_has_no_per_level_flags(tmp_path, capsys, flag):
+    # every level sets its own grid size and comb step
+    assert main(["convergence", "--levels", "32,64", "--t-end", "0.1", flag, "64",
+                 "--out", str(tmp_path / "v")]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_check_subcommand_reports_each_criterion(monkeypatch, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import comb_dt
 from numpy.testing import assert_allclose
 
 from kgmlab.diagnostics import (
@@ -18,7 +17,7 @@ from kgmlab.diagnostics import (
     total_energy,
 )
 from kgmlab.full import run_full
-from kgmlab.kernel import FullState, Grid1D, Params
+from kgmlab.kernel import FullState, Grid1D, Params, comb_dt
 from kgmlab.reduced import run_reduced
 from kgmlab.scenarios import default_scenario, make_scenario
 
@@ -97,7 +96,7 @@ def test_current_residual_two_snapshot_path():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = run_full(s0, comb_dt(0.5, g.h), 0.5, p, every=10**9)
+    traj = run_full(s0, comb_dt(0.5, g), 0.5, p, every=10**9)
     assert len(traj.states) == 2
     assert np.max(current_residual(traj, p)) <= 1e-13
 
@@ -109,7 +108,7 @@ def test_current_residual_second_order():
     for n in (256, 512):
         g = Grid1D(n=n)
         s0 = make_scenario(default_scenario("matter-packet"), p, g)
-        traj = run_full(s0, comb_dt(0.5, g.h), 0.5, p, every=4)
+        traj = run_full(s0, comb_dt(0.5, g), 0.5, p, every=4)
         res[n] = float(np.max(current_residual(traj, p)))
         assert res[n] <= 0.2 * g.h**2
     assert 2.0 <= res[256] / res[512] <= 9.0
@@ -122,7 +121,7 @@ def test_current_residual_flags_corrupted_snapshot():
     g = Grid1D(n=256)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = run_full(s0, comb_dt(0.5, g.h), 0.5, p, every=4)
+    traj = run_full(s0, comb_dt(0.5, g), 0.5, p, every=4)
     clean = float(np.max(current_residual(traj, p)))
     k0 = len(traj.states) // 2
     traj.states[k0].phi[17] += 0.05
@@ -140,7 +139,7 @@ def test_compare_self_is_zero():
     g = Grid1D(n=64)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = run_full(s0, comb_dt(0.2, g.h), 0.2, p, every=4)
+    traj = run_full(s0, comb_dt(0.2, g), 0.2, p, every=4)
     rep = compare(traj, traj)
     assert rep.max_rel_linf == 0.0
     assert np.all(rep.linf_abs == 0.0)
@@ -151,7 +150,7 @@ def test_compare_symmetric_and_scaled():
     g = Grid1D(n=64)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    dt = comb_dt(0.2, g.h)
+    dt = comb_dt(0.2, g)
     a = run_full(s0, dt, 0.2, p, every=4)
     b = run_reduced(s0.to_reduced(), dt, 0.2, p, every=4)
     ab, ba = compare(a, b), compare(b, a)
@@ -184,7 +183,7 @@ def test_compare_report_serializations():
     g = Grid1D(n=32)
     p = Params()
     s0 = make_scenario(default_scenario("pure-gauge-wave"), p, g)
-    traj = run_full(s0, comb_dt(0.1, g.h), 0.1, p, every=2)
+    traj = run_full(s0, comb_dt(0.1, g), 0.1, p, every=2)
     rep = compare(traj, traj)
     kv = rep.to_kv()
     assert kv["max_rel_linf"] == 0.0

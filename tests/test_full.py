@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import comb_dt
 from numpy.testing import assert_allclose, assert_array_equal
 
+from kgmlab.diagnostics import snapshot_extras
 from kgmlab.full import accel_full, run_full, step_full
-from kgmlab.kernel import FullState, Grid1D, GuardViolation, NonFinite, Params
+from kgmlab.kernel import FullState, Grid1D, GuardViolation, NonFinite, Params, comb_dt
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -187,7 +187,7 @@ def test_run_gauge_wave_full_period():
     p = Params()
     s0 = make_scenario(default_scenario("pure-gauge-wave"), p, g)
     T = 2.0 * np.pi
-    dt = comb_dt(T, g.h)
+    dt = comb_dt(T, g)
     traj = run_full(s0, dt, T, p, every=10**9)
     assert state_distance(traj.states[-1], s0) <= 1.5 * (g.h**2 + dt**4)
 
@@ -199,17 +199,18 @@ def test_run_matter_packet_conservation():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    dt = comb_dt(1.0, g.h)
+    dt = comb_dt(1.0, g)
     traj = run_full(s0, dt, 1.0, p, every=4)
+    extras = [snapshot_extras(s, p) for s in traj.states]
 
-    energies = [ex["energy"] for ex in traj.extras]
+    energies = [ex["energy"] for ex in extras]
     drift = (max(energies) - min(energies)) / abs(energies[0])
     assert drift <= 0.1 * g.h**2
 
     scale = float(np.max(np.abs(2.0 * p.e**2 * s0.B[0] * s0.phi**2)))
-    assert max(ex["constraint_residual"] for ex in traj.extras) <= 1e-9 * scale
+    assert max(ex["constraint_residual"] for ex in extras) <= 1e-9 * scale
 
-    charges = [ex["charge_mean"] for ex in traj.extras]
+    charges = [ex["charge_mean"] for ex in extras]
     assert max(abs(q - charges[0]) for q in charges) <= 1e-10
 
 

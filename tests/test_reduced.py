@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import comb_dt
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kgmlab.diagnostics import compare
+from kgmlab.diagnostics import compare, snapshot_extras
 from kgmlab.full import run_full, step_full
 from kgmlab.kernel import (
     Grid1D,
@@ -22,6 +21,7 @@ from kgmlab.kernel import (
     NonFinite,
     Params,
     ReducedState,
+    comb_dt,
 )
 from kgmlab.reduced import (
     DegenerateClosure,
@@ -108,7 +108,7 @@ def test_reconstruct_phi_matches_full_snapshots():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = run_full(s0, comb_dt(0.5, g.h), 0.5, p, every=8)
+    traj = run_full(s0, comb_dt(0.5, g), 0.5, p, every=8)
     for st in traj.states:
         Phi = reconstruct_phi(st.to_reduced(), p)
         assert np.max(np.abs(Phi - st.phi**2)) <= 1e-11
@@ -131,7 +131,7 @@ def test_reconstruct_phi_dot_matches_full_snapshots():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = run_full(s0, comb_dt(1.0, g.h), 1.0, p, every=8)
+    traj = run_full(s0, comb_dt(1.0, g), 1.0, p, every=8)
     worst = 0.0
     for st in traj.states:
         r = st.to_reduced()
@@ -211,7 +211,7 @@ def test_run_gauge_wave_full_period():
     p = Params()
     s0 = make_scenario(default_scenario("pure-gauge-wave"), p, g).to_reduced()
     T = 2.0 * np.pi
-    dt = comb_dt(T, g.h)
+    dt = comb_dt(T, g)
     traj = run_reduced(s0, dt, T, p, every=10**9)
     assert reduced_distance(traj.states[-1], s0) <= 1.5 * (g.h**2 + dt**4)
 
@@ -222,7 +222,7 @@ def test_run_matches_full_system_headline():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    dt = comb_dt(1.0, g.h)
+    dt = comb_dt(1.0, g)
     full = run_full(s0, dt, 1.0, p, every=8)
     reduced = run_reduced(s0.to_reduced(), dt, 1.0, p, every=8)
     assert compare(full, reduced).max_rel_linf <= 1e-3
@@ -234,12 +234,13 @@ def test_run_matter_energy_drift_and_positivity():
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-    dt = comb_dt(1.0, g.h)
+    dt = comb_dt(1.0, g)
     traj = run_reduced(s0, dt, 1.0, p, every=4)
-    energies = [ex["energy"] for ex in traj.extras]
+    extras = [snapshot_extras(s, p) for s in traj.states]
+    energies = [ex["energy"] for ex in extras]
     drift = (max(energies) - min(energies)) / abs(energies[0])
     assert drift <= 0.1 * g.h**2
-    assert min(ex["min_phi"] for ex in traj.extras) >= -1.0 * g.h**2
+    assert min(ex["min_phi"] for ex in extras) >= -1.0 * g.h**2
 
 
 @pytest.mark.parametrize("run, flavor", [
@@ -284,19 +285,21 @@ def test_step_and_run_bit_identical_under_reference_stencils(use_roll_stencils):
     g = Grid1D(n=64)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-    dt = comb_dt(0.1, g.h)
+    dt = comb_dt(0.1, g)
     step = step_reduced(s0, dt, p)
     traj = run_reduced(s0, dt, 0.1, p, every=3)
+    extras = [snapshot_extras(s, p) for s in traj.states]
     use_roll_stencils()
     ref_step = step_reduced(s0, dt, p)
     ref_traj = run_reduced(s0, dt, 0.1, p, every=3)
+    ref_extras = [snapshot_extras(s, p) for s in ref_traj.states]
     assert_array_equal(step.B, ref_step.B)
     assert_array_equal(step.Bdot, ref_step.Bdot)
     assert len(traj) == len(ref_traj)
     for a, b in zip(traj.states, ref_traj.states):
         assert_array_equal(a.B, b.B)
         assert_array_equal(a.Bdot, b.Bdot)
-    assert traj.extras == ref_traj.extras
+    assert extras == ref_extras
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def test_identity_check_on_solution_snapshots():
     for n in (128, 256):
         g = Grid1D(n=n)
         s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-        st = run_reduced(s0, comb_dt(0.5, g.h), 0.5, p, every=10**9).states[-1]
+        st = run_reduced(s0, comb_dt(0.5, g), 0.5, p, every=10**9).states[-1]
         B_ddot = accel_reduced(st, p)
         res[n] = float(np.max(phi_identity_check(st, B_ddot, p)))
         assert res[n] <= 0.5 * g.h**2
@@ -335,7 +338,7 @@ def test_identity_check_flags_corruption():
     g = Grid1D(n=256)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-    st = run_reduced(s0, comb_dt(0.5, g.h), 0.5, p, every=10**9).states[-1]
+    st = run_reduced(s0, comb_dt(0.5, g), 0.5, p, every=10**9).states[-1]
     B_ddot = accel_reduced(st, p)
     clean = float(np.max(phi_identity_check(st, B_ddot, p)))
 
@@ -359,7 +362,7 @@ def test_reconstruction_consistency_order():
     for n in (64, 128):
         g = Grid1D(n=n)
         s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
-        dt = comb_dt(0.5, g.h)
+        dt = comb_dt(0.5, g)
         traj = run_reduced(s0, dt, 0.5, p, every=1)
         Phis = [reconstruct_phi(st, p) for st in traj.states]
         worst = 0.0
