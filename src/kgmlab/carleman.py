@@ -5,14 +5,17 @@ dv/dt = M v on the span of occupation states |n_1..n_k>, with
 
     M = sum_i  raise_i * F_i(lower_1 .. lower_k),
 
-where lower_i / raise_i are the truncated ladder matrices.  A classical
-configuration x enters as the coherent vector with eigenvalue x and is read
-back out as the ratio of single-occupation to vacuum amplitude.  The linear
-flow is propagated by the action of its exponential, v(t) = exp(tM) v(0),
-never by time steps.  On the set of trajectories of the original system the
-two descriptions agree up to truncation, which is the property the demo
-systems and the tests measure: readout error falls monotonically as the
-occupation cutoff grows.
+where lower_i / raise_i are the truncated ladder matrices.  Each monomial
+of F_i is a coefficient and a factor tuple, the nondecreasing variable
+indices with each index repeated by its power (x_0^2 x_3 is (0, 0, 3), a
+constant is ()); products of monomials concatenate and sort their
+factors.  A classical configuration x enters as the coherent vector with
+eigenvalue x and is read back out as the ratio of single-occupation to
+vacuum amplitude.  The linear flow is propagated by the action of its
+exponential, v(t) = exp(tM) v(0), never by time steps.  On the set of
+trajectories of the original system the two descriptions agree up to
+truncation, which is the property the demo systems and the tests measure:
+readout error falls monotonically as the occupation cutoff grows.
 
 `FockBasis` stores the truncated space once, as an array of occupation
 rows in lexicographic order (vacuum first) with two index maps per mode,
@@ -39,7 +42,6 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,18 +104,24 @@ class UnsupportedGrid(SimulationError):
 # ---------------------------------------------------------------------------
 
 
+# one monomial, (coefficient, factors) as PolySystem describes it
+_Term = tuple[complex, tuple[int, ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class PolySystem:
     """First-order ODE system with polynomial right-hand sides.
 
-    terms[i] lists the monomials of dx_i/dt as (coefficient, exponents),
-    where exponents is a length-k multi-index.  Coefficients may be complex.
-    `names`, when present, documents the variable ordering.  The monomials
-    are compiled once, at construction, into the gather form `rhs` evaluates.
+    terms[i] lists the monomials of dx_i/dt as (coefficient, factors),
+    where factors is the nondecreasing tuple of variable indices of the
+    monomial, each repeated by its power: x_0^2 x_3 is (0, 0, 3) and a
+    constant is ().  Coefficients may be complex.  `names`, when present,
+    documents the variable ordering.  The monomials are compiled once, at
+    construction, into the gather form `rhs` evaluates.
     """
 
     k: int
-    terms: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
+    terms: tuple[tuple[_Term, ...], ...]
     names: tuple[str, ...] | None = None
     _gather: list = field(init=False, repr=False)
 
@@ -123,9 +131,9 @@ class PolySystem:
         if self.names is not None and len(self.names) != self.k:
             raise ValueError("names must match the variable count")
         for var_terms in self.terms:
-            for coef, exps in var_terms:
-                if len(exps) != self.k or any(e < 0 for e in exps):
-                    raise ValueError("exponent vectors must be length-k and nonnegative")
+            for coef, factors in var_terms:
+                if any(not 0 <= l < self.k for l in factors) or list(factors) != sorted(factors):
+                    raise ValueError("factors must be nondecreasing variable indices below k")
                 if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
                     raise ValueError("coefficients must be finite")
         object.__setattr__(self, "_gather", _compile_terms(self))
@@ -144,14 +152,11 @@ def _compile_terms(sys: PolySystem):
     """Group monomials by degree into gather-index form for fast evaluation."""
     by_degree: dict[int, tuple[list, list, list]] = {}
     for i, var_terms in enumerate(sys.terms):
-        for coef, exps in var_terms:
-            flat: list[int] = []
-            for l, e in enumerate(exps):
-                flat.extend([l] * e)
-            rows, coefs, idx = by_degree.setdefault(len(flat), ([], [], []))
+        for coef, factors in var_terms:
+            rows, coefs, idx = by_degree.setdefault(len(factors), ([], [], []))
             rows.append(i)
             coefs.append(coef)
-            idx.append(flat)
+            idx.append(factors)
     out = []
     for d, (rows, coefs, idx) in sorted(by_degree.items()):
         out.append((np.array(rows), np.array(coefs, dtype=complex),
@@ -184,30 +189,36 @@ def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array
 def recenter(sys: PolySystem, x0: Array) -> PolySystem:
     """Rewrite the system in deviation variables y = x - x0.
 
-    Binomial expansion of every monomial about x0; degrees never grow.
-    Centering at the initial condition puts the coherent start at the
-    vacuum, which is where the truncated ladder is most accurate.
+    Every monomial is expanded as the product of (x0_l + y_l) over its
+    factors; degrees never grow.  Centering at the initial condition puts
+    the coherent start at the vacuum, which is where the truncated ladder
+    is most accurate.
     """
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (sys.k,):
         raise ValueError("center must have one entry per variable")
     new_terms = []
     for var_terms in sys.terms:
-        acc: dict[tuple[int, ...], complex] = {}
-        for coef, exps in var_terms:
-            active = [l for l, e in enumerate(exps) if e > 0]
-            choices = [range(exps[l] + 1) for l in active]
-            for picks in product(*choices):
-                c = complex(coef)
-                out = [0] * sys.k
-                for l, m in zip(active, picks):
-                    e = exps[l]
-                    c *= math.comb(e, m) * x0[l] ** (e - m)
-                    out[l] = m
-                key = tuple(out)
-                acc[key] = acc.get(key, 0.0) + c
-        new_terms.append(tuple((c, e) for e, c in acc.items() if c != 0.0))
+        expanded: list[_Term] = []
+        for coef, factors in var_terms:
+            poly = [(complex(coef), ())]
+            for l in factors:
+                poly = _pmul(poly, [(x0[l], ()), (1.0, (l,))])
+            expanded += poly
+        new_terms.append(_merged(expanded))
     return PolySystem(k=sys.k, terms=tuple(new_terms), names=sys.names)
+
+
+def _pmul(a: list[_Term], b: list[_Term]) -> list[_Term]:
+    return [(ca * cb, tuple(sorted(fa + fb))) for ca, fa in a for cb, fb in b]
+
+
+def _merged(terms: Iterable[_Term]) -> tuple[_Term, ...]:
+    """Like monomials summed in first-appearance order, exact zeros dropped."""
+    acc: dict[tuple[int, ...], complex] = {}
+    for coef, factors in terms:
+        acc[factors] = acc.get(factors, 0.0) + coef
+    return tuple((c, f) for f, c in acc.items() if c != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,29 +305,28 @@ def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[
 def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
     """Evolution generator: sum over variables of raise_i * F_i(lowering ops).
 
-    A monomial coef * prod_l a_l^{e_l} of F_i, followed by raise_i, sends
-    each basis row to at most one row, so it is one row map: the rows are
-    followed through `basis.down` once per lowering and `basis.up` for the
-    raise, the sqrt(occupation) amplitudes multiplied along the way.  All
+    A monomial of F_i, coef times the lowering operators of its factors,
+    followed by raise_i, sends each basis row to at most one row, so it is
+    one row map: the rows are followed through `basis.down` once per factor
+    and `basis.up` for the raise, the sqrt(occupation) amplitudes multiplied along the way.  All
     maps are assembled as one sparse matrix, duplicates summed and exact
     zeros dropped.  Lowering operators commute exactly on the truncated
-    space, so the factor order inside a monomial is immaterial (ascending
-    mode order is used).
+    space, so the factor order inside a monomial is immaterial (the
+    nondecreasing factor order is used).
     """
     if basis.cutoff < 1:
         raise CutoffTooSmall("occupation cutoff must be at least 1 to carry any dynamics")
     if sys.k != basis.k:
         raise ValueError(f"system has {sys.k} variables but basis has {basis.k} modes")
     sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
-    modes = np.arange(sys.k)
     empty = np.empty(0, dtype=basis.down.dtype)
     rows, cols, vals = [empty], [empty], [np.empty(0, dtype=complex)]
 
     for i, var_terms in enumerate(sys.terms):
-        for coef, exps in var_terms:
+        for coef, factors in var_terms:
             at = src = np.arange(basis.dim, dtype=basis.down.dtype)
             amp = np.ones(basis.dim)
-            for l in np.repeat(modes, exps):
+            for l in factors:
                 to = basis.down[l, at]
                 live = to >= 0
                 amp = amp[live] * sqrt_n[basis.states[at[live], l]]
@@ -418,21 +428,21 @@ def fock_readout(sys: PolySystem, x0: Array, t_end: float, cutoff: int) -> tuple
 
 def riccati_system() -> PolySystem:
     """dx/dt = -x^2; closed form x(t) = x0 / (1 + x0 t)."""
-    return PolySystem(k=1, terms=(((-1.0, (2,)),),), names=("x",))
+    return PolySystem(k=1, terms=(((-1.0, (0, 0)),),), names=("x",))
 
 
 def rotation_system() -> PolySystem:
     """dx1/dt = x2, dx2/dt = -x1; generator is anti-Hermitian."""
     return PolySystem(
         k=2,
-        terms=(((1.0, (0, 1)),), ((-1.0, (1, 0)),)),
+        terms=(((1.0, (1,)),), ((-1.0, (0,)),)),
         names=("x1", "x2"),
     )
 
 
 def linear_system(rate: complex) -> PolySystem:
     """dx/dt = rate * x; coherent states stay coherent under this flow."""
-    return PolySystem(k=1, terms=(((complex(rate), (1,)),),), names=("x",))
+    return PolySystem(k=1, terms=(((complex(rate), (0,)),),), names=("x",))
 
 
 def lotka_system(growth: float = 0.5, predation: float = 1.0,
@@ -441,8 +451,8 @@ def lotka_system(growth: float = 0.5, predation: float = 1.0,
     return PolySystem(
         k=2,
         terms=(
-            ((growth, (1, 0)), (-predation, (1, 1))),
-            ((-decay, (0, 1)), (conversion, (1, 1))),
+            ((growth, (0,)), (-predation, (0, 1))),
+            ((-decay, (1,)), (conversion, (0, 1))),
         ),
         names=("prey", "predator"),
     )
@@ -458,22 +468,9 @@ _POLY_FIELDS = (
     "intensity", "inv_intensity", "log_rate", "log_slope",
 )
 
-_Term = tuple[float, dict[int, int]]
-
-
-def _pmul(a: list[_Term], b: list[_Term]) -> list[_Term]:
-    out = []
-    for ca, ea in a:
-        for cb, eb in b:
-            exps = dict(ea)
-            for var, e in eb.items():
-                exps[var] = exps.get(var, 0) + e
-            out.append((ca * cb, exps))
-    return out
-
 
 def _pscale(a: list[_Term], c: float) -> list[_Term]:
-    return [(c * coef, exps) for coef, exps in a]
+    return [(c * coef, factors) for coef, factors in a]
 
 
 def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
@@ -526,11 +523,11 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
 
     d1, d2 = taps(deriv_x), taps(deriv_xx)
 
-    def lin(fieldname: str, j: int, c: float = 1.0) -> list[_Term]:
-        return [(c, {var(fieldname, j): 1})]
+    def lin(fieldname: str, j: int) -> list[_Term]:
+        return [(1.0, (var(fieldname, j),))]
 
     def diff(weights: list[list[tuple[int, float]]], fieldname: str, j: int) -> list[_Term]:
-        return [(c, {var(fieldname, l): 1}) for l, c in weights[j]]
+        return [(c, (var(fieldname, l),)) for l, c in weights[j]]
 
     rates: dict[int, list[_Term]] = {var(f, j): [] for f in _POLY_FIELDS for j in range(n)}
 
@@ -548,22 +545,16 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
         # b0 / Phi, with Phi * inv_intensity = 1 absorbed where it appears:
         # v * Phiddot = v*Lap(Phi) + (log_rate^2 - log_slope^2)/2
         #             + 2 e^2 (b0^2 - b1^2 - b2^2 - b3^2) - 2 m^2
-        bsq = [
-            (1.0, {var("b0", j): 2}), (-1.0, {var("b1", j): 2}),
-            (-1.0, {var("b2", j): 2}), (-1.0, {var("b3", j): 2}),
-        ]
+        bsq = [(c, (var(f"b{mu}", j),) * 2) for mu, c in enumerate((1.0, -1.0, -1.0, -1.0))]
         v_phiddot = (
             _pmul(v_, diff(d2, "intensity", j))
-            + [(0.5, {var("log_rate", j): 2}), (-0.5, {var("log_slope", j): 2})]
+            + [(0.5, (var("log_rate", j),) * 2), (-0.5, (var("log_slope", j),) * 2)]
             + _pscale(bsq, 2.0 * e2)
-            + [(-2.0 * msq, {})]
+            + [(-2.0 * msq, ())]
         )
 
         # d/dx of (log_rate * intensity) = d/dx Phidot, per stencil point
-        d_rate_phi = [
-            (c, {var("log_rate", l): 1, var("intensity", l): 1})
-            for l, c in d1[j]
-        ]
+        d_rate_phi = [(c, (var("intensity", l), var("log_rate", l))) for l, c in d1[j]]
 
         # divergence of the field: bdot0 - D(b1)
         div_b = lin("bdot0", j) + _pscale(diff(d1, "b1", j), -1.0)
@@ -586,21 +577,14 @@ def polynomialize_reduced(g: Grid1D, p: Params) -> PolySystem:
         rates[var("intensity", j)] = _pmul(eta, phi_)
         rates[var("inv_intensity", j)] = _pscale(_pmul(eta, lin("inv_intensity", j)), -1.0)
         # d/dt (Phidot/Phi) = v * Phiddot - log_rate^2
-        rates[var("log_rate", j)] = v_phiddot + [(-1.0, {var("log_rate", j): 2})]
+        rates[var("log_rate", j)] = v_phiddot + [(-1.0, (var("log_rate", j),) * 2)]
         rates[var("log_slope", j)] = (
             _pmul(v_, d_rate_phi) + _pscale(_pmul(zeta, eta), -1.0)
         )
 
     k = len(_POLY_FIELDS) * n
     names = tuple(f"{f}[{j}]" for f in _POLY_FIELDS for j in range(n))
-    terms = []
-    for i in range(k):
-        acc: dict[tuple[int, ...], float] = {}
-        for coef, exps in rates[i]:
-            key = tuple(exps.get(l, 0) for l in range(k))
-            acc[key] = acc.get(key, 0.0) + coef
-        terms.append(tuple((c, e) for e, c in acc.items() if c != 0.0))
-    return PolySystem(k=k, terms=tuple(terms), names=names)
+    return PolySystem(k=k, terms=tuple(_merged(rates[i]) for i in range(k)), names=names)
 
 
 def lift_reduced_state(s: ReducedState, p: Params) -> Array:

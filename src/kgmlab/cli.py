@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -563,8 +564,21 @@ def _add_config_flags(sub: argparse.ArgumentParser, omit: tuple[str, ...] = ()) 
                              metavar=flag[2:].upper().replace("-", "_"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e-3 as a negative number, not an option.
+
+    Python 3.11's argparse matches only forms like -1 and -0.001 as negative
+    numbers, so `--t-end -1e-1` would stop with "expected one argument".
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgmlab",
         description="Drive the coupled scalar/vector lattice integrators, their "
                     "potential-only reduction, and the truncated-ladder "

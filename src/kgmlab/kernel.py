@@ -68,9 +68,6 @@ class Grid1D:
     def x(self) -> Array:
         return np.arange(self.n) * self.h
 
-    def zeros(self) -> Array:
-        return np.zeros(self.n)
-
 
 @dataclass(frozen=True)
 class Params:
@@ -303,9 +300,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,10 @@ def reference_build_m(sys_, cutoff):
     m = sp.csr_matrix((dim, dim), dtype=complex)
     for i, var_terms in enumerate(sys_.terms):
         f_i = sp.csr_matrix((dim, dim), dtype=complex)
-        for coef, exps in var_terms:
+        for coef, factors in var_terms:
             op = eye
-            for l, e in enumerate(exps):
-                if e:
-                    op = (op @ power(l, e)).tocsr()
+            for l in sorted(set(factors)):
+                op = (op @ power(l, factors.count(l))).tocsr()
             f_i = f_i + complex(coef) * op
         m = m + raise_[i] @ f_i
     return m.tocsr()

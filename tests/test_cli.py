@@ -336,6 +336,19 @@ def test_compare_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, value, code", [
+    (["carleman", "riccati", "--t-end"], "-1e-1", 0),
+    (["compare", "--n", "32", "--t-end", "0.1", "--tol"], "-1e-3", 2),
+], ids=["t_end", "tol"])
+def test_negative_float_with_exponent_reads_as_its_decimal(capsys, argv, value, code):
+    # -1e-3 must reach the same code as -0.001, not be taken for an option
+    results = []
+    for spelled in (value, repr(float(value))):
+        results.append((main([*argv, spelled]), *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+
+
 def test_carleman_riccati_prints_error_vs_closed_form(capsys):
     # cutoff 10 sits above the coherent-tail warning threshold for xi0 = 0.5
     assert main(["carleman", "riccati", "--xi0", "0.5", "--cutoff", "10",

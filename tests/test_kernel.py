@@ -44,10 +44,10 @@ def test_deriv_x_spike_column():
     # cell right of the spike.
     g = Grid1D(n=16)
     j = 5
-    f = g.zeros()
+    f = np.zeros(g.n)
     f[j] = 1.0
     out = deriv_x(f, g)
-    expected = g.zeros()
+    expected = np.zeros(g.n)
     expected[j - 1] = +1.0 / (2.0 * g.h)
     expected[j + 1] = -1.0 / (2.0 * g.h)
     assert_array_equal(out, expected)
@@ -56,10 +56,10 @@ def test_deriv_x_spike_column():
 def test_deriv_xx_spike_column():
     g = Grid1D(n=16)
     j = 0  # wrap case on purpose
-    f = g.zeros()
+    f = np.zeros(g.n)
     f[j] = 1.0
     out = deriv_xx(f, g)
-    expected = g.zeros()
+    expected = np.zeros(g.n)
     expected[j] = -2.0 / g.h**2
     expected[j - 1] = expected[(j + 1) % g.n] = 1.0 / g.h**2
     assert_array_equal(out, expected)
