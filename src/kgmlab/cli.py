@@ -37,13 +37,7 @@ from .carleman import (
     rotation_system,
     tiny_reduced_embedding,
 )
-from .diagnostics import (
-    compare,
-    current_residual,
-    observed_order,
-    snapshot_extras,
-    total_energy,
-)
+from .diagnostics import compare, conservation_defects, observed_order, snapshot_extras
 from .full import run_full
 from .kernel import (
     FullState,
@@ -402,10 +396,7 @@ def ladder_level(s0: FullState, dt: float, t_end: float, p: Params,
     out = {"h": s0.grid.h, "dt": dt,
            "equivalence": compare(traj_full, traj_red).max_rel_linf}
     for tag, traj in (("full", traj_full), ("reduced", traj_red)):
-        energies = np.array([total_energy(s, p) for s in traj.states])
-        scale = max(abs(energies[0]), 1e-300)
-        out[f"energy_{tag}"] = float(np.max(np.abs(energies - energies[0])) / scale)
-        out[f"current_{tag}"] = float(np.max(np.abs(current_residual(traj, p))))
+        out[f"energy_{tag}"], out[f"current_{tag}"] = conservation_defects(traj, p)
     return out, traj_red
 
 
@@ -565,16 +556,18 @@ def _add_config_flags(sub: argparse.ArgumentParser, omit: tuple[str, ...] = ()) 
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads -1e-3 as a negative number, not an option.
+    """ArgumentParser that reads -1e-3, -inf and -nan as values, not options.
 
     Python 3.11's argparse matches only forms like -1 and -0.001 as negative
-    numbers, so `--t-end -1e-1` would stop with "expected one argument".
-    Subparsers inherit the class.
+    numbers, so `--t-end -1e-1` or `--t-end -inf` would stop with "expected
+    one argument" before the value checks.  The pattern takes every signed
+    spelling float() accepts.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ conserved current B^mu * Phi whose divergence defect the residual reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "DegenerateInput",
     "GridMismatch",
     "compare",
+    "conservation_defects",
     "current_residual",
     "observed_order",
     "snapshot_extras",
@@ -127,6 +129,12 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
     three snapshots there is no second-order time difference, so the
     state-carried time derivatives are used instead.
     """
+    return _current_residual(traj, (_intensity(s, p) for s in traj.states))
+
+
+def _current_residual(traj: Trajectory, intensities: Iterator[tuple[Array, Array]]) -> Array:
+    """current_residual given each snapshot's (Phi, Phidot) from _intensity,
+    in snapshot order; it reads each pair once."""
     states = traj.states
     K = len(states)
     g = traj.grid
@@ -134,8 +142,7 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
     # than three snapshots it holds the state-carried rate instead
     q = np.empty((K, g.n))
     flux = np.empty((K, g.n))
-    for k, s in enumerate(states):
-        Phi, Phidot = _intensity(s, p)
+    for k, (s, (Phi, Phidot)) in enumerate(zip(states, intensities)):
         q[k] = s.B[0] * Phi if K >= 3 else s.Bdot[0] * Phi + s.B[0] * Phidot
         flux[k] = s.B[1] * Phi
     dqdt = np.gradient(q, np.asarray(traj.times), axis=0, edge_order=2) if K >= 3 else q
@@ -144,6 +151,27 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
     for k in range(K):
         resid[k] = float(np.max(np.abs(dqdt[k] - deriv_x(flux[k], g))))
     return resid
+
+
+def conservation_defects(traj: Trajectory, p: Params) -> tuple[float, float]:
+    """(relative energy drift, peak current_residual) of one run.
+
+    The drift is max |E(t) - E(0)| / |E(0)| over the snapshots, from
+    total_energy.  Both measures read the same (Phi, Phidot) per snapshot,
+    so a reduced run reconstructs its intensity once per snapshot.
+    """
+    energies = []
+
+    def intensities() -> Iterator[tuple[Array, Array]]:
+        # one pair at a time, so no run's worth of intensities is held
+        for s in traj.states:
+            pair = _intensity(s, p)
+            energies.append(_energy(s, p, *pair))
+            yield pair
+
+    resid = _current_residual(traj, intensities())
+    drift = np.max(np.abs(np.subtract(energies, energies[0]))) / max(abs(energies[0]), 1e-300)
+    return float(drift), float(np.max(resid))
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,10 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     """Advance one step of size dt (dt < 0 steps backward).
 
     Any nonzero scalar field routes through the constrained branch (the
-    screened solves stay nonsingular whenever phi^2 > 0 somewhere); the
-    hyperbolic branch is reserved for the exactly matter-free sector where
-    the slice equations cannot see B_0's kernel modes.
+    screened solve is nonsingular in floats whenever phi^2 > 0 somewhere on
+    both the even and the odd points); the hyperbolic branch is reserved
+    for the exactly matter-free sector where the slice equations cannot
+    see B_0's kernel modes.
     """
     if np.any(s.phi):
         out = _step_matter(s, dt, p)

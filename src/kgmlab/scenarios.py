@@ -25,8 +25,8 @@ and applies a caller-chosen additive offset, while stepping re-solves the
 unprojected screened system whose unique solution automatically carries
 the conserved charge mean.  Both go through one screened solve: D(D .)
 skips a point, so the even and odd points form two periodic tridiagonal
-systems, and the projected mode superposes two solutions of the same
-system instead of bordering it with the charge defect as an unknown.
+blocks; each block's constant, nearly null under faint screening, is split
+off its mean-zero part and fixed by the block mean of the equation.
 
 Rate construction: differentiating the constraint in time and eliminating
 Bddot_1 through the x-component field equation cancels the stencils
@@ -109,106 +109,72 @@ def default_scenario(name: str) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# periodic stencil solves
-
-
-def _fourier_solve(rhs: Array, g: Grid1D) -> Array:
-    """Solve D(D x) = rhs with zero mean for the unscreened case.
-
-    The composed stencil kills the constant and the alternating (Nyquist)
-    mode, so rhs must be (numerically) orthogonal to both or no periodic
-    solution exists; the returned x has both components zeroed.
-    """
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    n, h = g.n, g.h
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    bad_mean = abs(float(np.mean(rhs))) > 1e-12 * scale
-    bad_nyquist = abs(float(np.mean(rhs * signs))) > 1e-12 * scale
-    if bad_mean or bad_nyquist:
-        raise SingularOperator(
-            "screening intensity is identically zero and the right-hand side "
-            "has content in the stencil kernel (constant or alternating "
-            "mode); no periodic solution exists"
-        )
-    theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    symbol = -((np.sin(theta) / h) ** 2)
-    rhat = np.fft.rfft(rhs)
-    out = np.zeros_like(rhat)
-    out[1:] = rhat[1:] / symbol[1:]
-    out[-1] = 0.0  # Nyquist index: sin(pi) is 1e-16 in floats, not 0
-    return np.fft.irfft(out, n=n)
+# the screened solve
 
 
 def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: bool) -> Array:
-    """Solve K x = rhs, K = D(D .) - 2 e^2 Phi, or its mean-projected form.
+    """Solve K x = rhs, K = D(D .) - S with S = 2 e^2 Phi, or its mean-projected form.
 
-    D(D .) couples j only to j +- 2 and the screening is diagonal, so the
-    even and odd points form two periodic tridiagonal systems, a = 1/(4 h^2)
-    off the diagonal.  They are the two blocks of one banded T that drops
-    each block's wrap corners and takes a off its two end diagonal entries;
-    per block K = T + a e e^T, e the indicator of the ends, which a
-    Sherman-Morrison step adds back.  A block without screening is singular;
-    with none at all, the spectral solve returns the zero-mean response.
+    D(D .) couples j only to j +- 2 and S is diagonal, so the even and the
+    odd points form two blocks L_s - S_s of m = n/2 points, L_s periodic
+    tridiagonal (a = 1/(4 h^2) off the diagonal) with the constants as its
+    kernel, nearly null under faint screening.  Each block is therefore
+    split as x_s = c_s + y_s with mean(y_s) = 0: y_s = y0_s + c_s y1_s
+    solves (L_s - P S_s) y = P (r_s + c_s S_s), P removing the block mean,
+    which is conditioned like L_s.  One banded solve of both blocks, S on
+    the diagonal and no wrap corners, takes the right sides [P r, P S,
+    ends, 1]; a 2 x 2 Woodbury step per block adds back the corners and the
+    rank-one term 1 (S - a)^T / m, which turns -S into -P S and pins mean(y).
 
-    Projected mode returns the zero-mean b with P K b = P rhs (P removes
-    the grid mean) by superposition: with K u = P rhs and K w = 1,
-    b = u - (mean u / mean w) w.  K is conditioned like n^2; one refinement
-    step, its residual taken through the composed stencil, keeps the
-    verified residual near roundoff on fine grids.  The solve is accepted
-    when |K x - rhs| <= 1e-14 (||K|| |x| + |rhs|) in the max norm, the
-    residual mean-removed in projected mode.
+    The block means of K x = rhs fix the constants: with
+    gain_s = mean(S_s) + mean(S_s y1_s) and f_s = mean(r_s) + mean(S_s y0_s),
+    pinned mode solves c_s gain_s = -f_s; projected mode (the zero-mean x
+    with P K x = P rhs, P removing the grid mean) has c_e = -c_o, and the
+    difference of the block equations gives c_e (gain_e + gain_o) = f_o - f_e.
+    A block without screening (gain 0) has a free constant, set to 0 when
+    its mean equation holds to 1e-12 max|rhs|; otherwise SingularOperator
+    is raised.  The solve is accepted when |K x - rhs| <= 1e-14 (||K|| |x|
+    + |rhs|) in the max norm, the residual mean-removed in projected mode.
     """
-    if not np.any(phi_sq):
-        return _fourier_solve(rhs, g)
     n, m = g.n, g.n // 2
     a = 0.25 / (g.h * g.h)
     screen = 2.0 * p.e**2 * phi_sq
-    if not (np.any(screen[0::2]) and np.any(screen[1::2])):
-        raise SingularOperator("screening intensity vanishes on every even or "
-                               "every odd point; the screened operator is singular")
     order = np.r_[0:n:2, 1:n:2]  # even points, then odd
-    first, last = [0, m], [m - 1, n - 1]
+    r, s = rhs[order].reshape(2, m), screen[order].reshape(2, m)
+    ends = np.zeros((2, m))
+    ends[:, [0, -1]] = 1.0
     ab = np.zeros((3, n))
     ab[0, 1:] = ab[2, :-1] = a
     ab[0, m] = ab[2, m - 1] = 0.0  # the two blocks do not couple
-    ab[1] = -2.0 * a - screen[order]
-    ab[1, first + last] -= a
-    corners = np.zeros((n, 2))
-    corners[first, [0, 1]] = corners[last, [0, 1]] = 1.0
+    ab[1] = (-2.0 * a - s - a * ends).ravel()
+    cols = np.stack([r - r.mean(1, keepdims=True), s - s.mean(1, keepdims=True),
+                     ends, np.ones((2, m))])
+    # z[b, k, j]: block b, point k, right side j
+    z = solve_banded((1, 1), ab, cols.reshape(4, n).T).T.reshape(4, 2, m).transpose(1, 2, 0)
+    wz = np.stack([a * ends, (s - a) / m], axis=1) @ z
+    y = z[..., :2] - z[..., 2:] @ np.linalg.solve(np.eye(2) + wz[..., 2:], wz[..., :2])
+    y0, y1 = y[..., 0], y[..., 1]
 
-    def inverse(r: Array) -> Array:
-        # b ignores the mean of r; removing it first keeps u and w small
-        # enough that their roundoff does not swamp the zero-mean answer
-        cols = np.column_stack([r - r.mean(), np.ones(n)]) if projected else r[:, None]
-        if n == 2:  # D vanishes identically: only the screening is left
-            sol = -cols / screen[:, None]
-        else:
-            yz = solve_banded((1, 1), ab, np.column_stack([cols[order], corners]))
-            y, z = yz[:, :-2], yz[:, -2:]
-            ez = np.diag(z[first] + z[last])
-            y -= z @ (a * (y[first] + y[last]) / (1.0 + a * ez)[:, None])
-            sol = np.empty_like(y)
-            sol[order] = y
-        if projected:
-            return sol[:, 0] - (sol[:, 0].mean() / sol[:, 1].mean()) * sol[:, 1]
-        return sol[:, 0]
-
-    def apply(x: Array) -> Array:
-        return deriv_x(deriv_x(x, g), g) - screen * x
-
-    # a block screened by next to nothing is singular in floats: its
-    # Sherman-Morrison denominator rounds to zero
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = inverse(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularOperator("the screened operator is numerically singular: "
-                               "the screening intensity is too weak for this grid")
-    x += inverse(rhs - apply(x))
+    f = r.mean(1) + (s * y0).mean(1)
+    gain = s.mean(1) + (s * y1).mean(1)
+    if projected:
+        f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
+    free = gain == 0.0
+    if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs)))):
+        raise SingularOperator("the screening vanishes on the even or the odd points and "
+                               "the right-hand side breaks that block's mean equation; "
+                               "no periodic solution exists")
+    c = np.zeros_like(f)
+    np.divide(-f, gain, out=c, where=~free)
+    if projected:
+        c = np.r_[c, -c]
+    x = np.empty(n)
+    x[order] = (y0 + c[:, None] * (1.0 + y1)).ravel()
 
     # normwise backward error: forming K x alone costs about eps ||K|| ||x||,
     # and ||K||_inf = 1/h^2 (D(D .), absent at n = 2) + max(screen) grows
     # like n^2, so a gate scaled to rhs alone fails sound solves on fine grids
-    resid = apply(x) - rhs
+    resid = deriv_x(deriv_x(x, g), g) - screen * x - rhs
     if projected:
         resid -= resid.mean()
     k_norm = (0.0 if n == 2 else 1.0 / (g.h * g.h)) + float(np.max(screen))

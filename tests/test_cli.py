@@ -14,16 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgmlab import diagnostics
 from kgmlab.cli import (
     ConfigError,
     FormatVersionMismatch,
     RunConfig,
     TruncatedFile,
+    ladder_level,
     main,
     read_snapshot,
     write_snapshot,
 )
-from kgmlab.kernel import FullState, Grid1D, Params, ReducedState
+from kgmlab.kernel import FullState, Grid1D, Params, ReducedState, comb_dt
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -339,13 +341,17 @@ def test_compare_rejects_bad_tolerance(tmp_path, capsys, tol):
 @pytest.mark.parametrize("argv, value, code", [
     (["carleman", "riccati", "--t-end"], "-1e-1", 0),
     (["compare", "--n", "32", "--t-end", "0.1", "--tol"], "-1e-3", 2),
-], ids=["t_end", "tol"])
+    (["carleman", "riccati", "--t-end"], "-inf", 2),
+    (["run-reduced", "--t-end"], "-nan", 2),
+], ids=["t_end", "tol", "t_end_inf", "t_end_nan"])
 def test_negative_float_with_exponent_reads_as_its_decimal(capsys, argv, value, code):
-    # -1e-3 must reach the same code as -0.001, not be taken for an option
+    # -1e-3, -inf and -nan must reach the code that -0.001 and the
+    # =-joined spelling reach, not be taken for an option
+    *head, flag = argv
     results = []
-    for spelled in (value, repr(float(value))):
-        results.append((main([*argv, spelled]), *capsys.readouterr()))
-    assert results[0] == results[1]
+    for spelled in ([*argv, value], [*argv, repr(float(value))], [*head, f"{flag}={value}"]):
+        results.append((main(spelled), *capsys.readouterr()))
+    assert results[0] == results[1] == results[2]
     assert results[0][0] == code
 
 
@@ -395,6 +401,19 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert out.startswith("n,h,equivalence")
     assert "observed_order[equivalence]" in out
     assert (tmp_path / "v" / "convergence.csv").read_text().startswith("n,h,")
+
+
+def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
+    # the energy drift and the charge-balance residual read one intensity
+    calls = []
+    real = diagnostics.reconstruct_phi
+    monkeypatch.setattr(diagnostics, "reconstruct_phi",
+                        lambda s, p: calls.append(s.t) or real(s, p))
+    g = Grid1D(n=32)
+    p = Params()
+    s0 = make_scenario(default_scenario("matter-packet"), p, g)
+    traj = ladder_level(s0, comb_dt(0.25, g), 0.25, p, every=1)[1]
+    assert calls == list(traj.times)
 
 
 @pytest.mark.parametrize("flag", ["--n", "--dt"])
