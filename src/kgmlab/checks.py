@@ -14,8 +14,6 @@ not error estimates.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import math
 import tempfile
 import warnings
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cli
+from . import run
 from .carleman import (
     FockBasis,
     coherent_vector,
@@ -37,16 +35,9 @@ from .carleman import (
     tiny_reduced_embedding,
 )
 from .diagnostics import observed_order
-from .kernel import Grid1D, Params, comb_dt
-from .reduced import (
-    accel_reduced,
-    phi_identity_check,
-    reconstruct_phi,
-    run_reduced,
-)
-from .scenarios import default_scenario, make_scenario
-
-Array = np.ndarray
+from .kernel import Grid1D, SimulationError, comb_dt
+from .reduced import accel_reduced, phi_identity_check, reconstruct_phi
+from .scenarios import default_scenario
 
 __all__ = ["CRITERIA"]
 
@@ -61,21 +52,19 @@ _T_END = 1.0
 
 @lru_cache(maxsize=None)
 def _ladder_level(n: int) -> dict[str, float]:
-    g = Grid1D(n=n)
-    p = Params()
     # dt halves exactly level to level from the comb step of the coarsest
-    # grid (the finer grids' own combs need not halve: 41, 82, 163 steps)
-    dt = comb_dt(_T_END, Grid1D(n=_LADDER[0])) * _LADDER[0] / n
-    s0 = make_scenario(default_scenario("matter-packet"), p, g)
+    # grid (the finer grids' own combs need not halve: 41, 82, 163 steps).
     # every=1 keeps the snapshot comb uniform through the endpoint; a
     # stride that does not divide the step count leaves a short final
     # interval whose one-sided time difference pollutes the charge-balance
     # residual unevenly across levels (measured order 1.64 vs 1.96)
-    out, traj_red = cli.ladder_level(s0, dt, _T_END, p, every=1)
+    cfg = run.RunConfig(grid=Grid1D(n=n), t_end=_T_END, every=1,
+                        dt=comb_dt(_T_END, Grid1D(n=_LADDER[0])) * _LADDER[0] / n)
+    out, traj_red = run.ladder_level(cfg)
 
     identity = 0.0
     for s in traj_red.states:
-        resid = phi_identity_check(s, accel_reduced(s, p), p)
+        resid = phi_identity_check(s, accel_reduced(s, cfg.params), cfg.params)
         identity = max(identity, float(np.max(resid)))
     out["identity"] = identity
     return out
@@ -125,12 +114,10 @@ def _check_gauge_wave_regression() -> tuple[bool, str]:
     # one full period of the traveling free wave; measured 1.047 (h^2 + dt^4)
     # return distance and 4.8e-14 peak reconstructed intensity, frozen with
     # headroom at 1.5 and 0.01 h^2
-    g = Grid1D(n=64)
-    p = Params()
-    s0 = make_scenario(default_scenario("pure-gauge-wave"), p, g).to_reduced()
-    period = 2.0 * np.pi
-    dt = comb_dt(period, g)
-    traj = run_reduced(s0, dt, period, p, every=8)
+    cfg = run.RunConfig(grid=Grid1D(n=64), scenario=default_scenario("pure-gauge-wave"),
+                        t_end=2.0 * np.pi, every=8)
+    traj = run.integrate(cfg, "reduced")
+    g, p, dt, s0 = cfg.grid, cfg.params, cfg.resolved_dt(), traj.states[0]
 
     final = traj.states[-1]
     dist = max(float(np.max(np.abs(final.B - s0.B))),
@@ -250,21 +237,21 @@ def _check_reduced_embedding() -> tuple[bool, str]:
 def _check_determinism_persistence() -> tuple[bool, str]:
     with tempfile.TemporaryDirectory() as tmp:
         dirs = (Path(tmp) / "a", Path(tmp) / "b")
-        for d in dirs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run-reduced", "--n", "64", "--t-end", "0.2",
-                                 "--every", "2", "--out", str(d)])
-            if code != 0:
-                return False, f"run exited {code}"
+        try:
+            for d in dirs:
+                cfg = run.RunConfig(grid=Grid1D(n=64), t_end=0.2, every=2, out_dir=str(d))
+                run.write_run_outputs(cfg, run.integrate(cfg, "reduced"))
+        except (SimulationError, OSError) as err:
+            return False, f"run failed: {type(err).__name__}: {err}"
         names = sorted(f.name for f in dirs[0].iterdir() if f.name.startswith("snap"))
         identical = all(
             (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
             for name in names)
 
-        state, _ = cli.read_snapshot(dirs[0] / names[-2].removesuffix(".json"))
+        state, _ = run.read_snapshot(dirs[0] / names[-2].removesuffix(".json"))
         path = Path(tmp) / "roundtrip.bin"
-        cli.write_snapshot(path, state)
-        again, _ = cli.read_snapshot(path)
+        run.write_snapshot(path, state)
+        again, _ = run.read_snapshot(path)
         bit_exact = (again.B.tobytes() == state.B.tobytes()
                      and again.Bdot.tobytes() == state.Bdot.tobytes()
                      and again.t == state.t

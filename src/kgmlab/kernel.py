@@ -74,18 +74,15 @@ class Params:
     """Model couplings and the two floor guards.
 
     b0_floor guards divisions by B_0 in the reconstruction chain; phi_floor
-    guards divisions by the scalar intensity in the closure.  soft_guards
-    lets a run continue past both: |B_0| is clamped at b0_floor (sign kept)
-    where the reconstruction divides by it, the reduced closure skips its
-    DegenerateClosure raise, and both integrators skip the post-step B_0
-    floor check.  Nothing counts these trips.
+    guards divisions by the scalar intensity in the closure.  A |B_0| below
+    its floor stops the run, and so does a closure term that is not small
+    where the intensity is below its floor.
     """
 
     e: float = 1.0
     m: float = 1.0
     b0_floor: float = 1.0e-6
     phi_floor: float = 1.0e-3
-    soft_guards: bool = False
 
     def __post_init__(self) -> None:
         # each message starts with the field name, so a config reader can
@@ -284,7 +281,7 @@ class FullState(ReducedState):
 class Trajectory:
     """Snapshots emitted by a run."""
 
-    states: list
+    states: tuple[ReducedState, ...]
 
     def __post_init__(self) -> None:
         if not self.states:

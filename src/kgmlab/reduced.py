@@ -65,19 +65,10 @@ class DegenerateClosure(SimulationError):
 
 
 def _guarded_b0(s: ReducedState, p: Params) -> Array:
-    """B_0 as a safe denominator.
-
-    Hard guards abort via check_b0_floor; soft guards clamp the magnitude at
-    the floor, preserving sign (sign(0) would zero the denominator, so exact
-    zeros clamp to +b0_floor).
-    """
-    b0 = s.B[0]
-    if np.min(np.abs(b0)) >= p.b0_floor:
-        return b0
-    if not p.soft_guards:
-        s.check_b0_floor(p)  # raises with location and time
-    sign = np.where(b0 < 0.0, -1.0, 1.0)
-    return sign * np.maximum(np.abs(b0), p.b0_floor)
+    """B_0 as a safe denominator; check_b0_floor raises, with location and
+    time, where it is not."""
+    s.check_b0_floor(p)
+    return s.B[0]
 
 
 def reconstruct_phi(s: ReducedState, p: Params) -> Array:
@@ -195,7 +186,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
         # the regime the closure can represent.
         scale = p.phi_floor * (1.0 + float(np.max(np.abs(d_bd1))))
         worst = float(np.max(np.abs(bracket[low])))
-        if worst > scale and not p.soft_guards:
+        if worst > scale:
             j = int(np.argmax(np.abs(np.where(low, bracket, 0.0))))
             raise DegenerateClosure(
                 f"B_0 acceleration undetermined at index {j} (t={s.t:g}): "
@@ -226,8 +217,7 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     out = ReducedState(t=s.t + dt, B=B, Bdot=Bdot, grid=s.grid,
                        charge_mean=s.charge_mean)
     out.require_finite()
-    if not p.soft_guards:
-        out.check_b0_floor(p)
+    out.check_b0_floor(p)
     return out
 
 

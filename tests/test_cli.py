@@ -25,7 +25,7 @@ from kgmlab.cli import (
     read_snapshot,
     write_snapshot,
 )
-from kgmlab.kernel import FullState, Grid1D, Params, ReducedState, comb_dt
+from kgmlab.kernel import FullState, Grid1D, Params, ReducedState
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -409,10 +409,7 @@ def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
     real = diagnostics.reconstruct_phi
     monkeypatch.setattr(diagnostics, "reconstruct_phi",
                         lambda s, p: calls.append(s.t) or real(s, p))
-    g = Grid1D(n=32)
-    p = Params()
-    s0 = make_scenario(default_scenario("matter-packet"), p, g)
-    traj = ladder_level(s0, comb_dt(0.25, g), 0.25, p, every=1)[1]
+    traj = ladder_level(RunConfig(grid=Grid1D(n=32), t_end=0.25))[1]
     assert calls == list(traj.times)
 
 

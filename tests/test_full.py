@@ -151,10 +151,6 @@ def test_step_guard_violation_below_floor():
     )
     with pytest.raises(GuardViolation):
         step_full(s, 0.01, p)
-    # soft mode steps through and reports instead of aborting
-    soft = Params(soft_guards=True)
-    out = step_full(s, 0.01, soft)
-    assert out.t == pytest.approx(0.01)
 
 
 def test_step_nonfinite_detection():

@@ -1,5 +1,7 @@
 """Import layering: the integrators and the initial data sit below the
-measurements, the embedding and the driver, and never reach up to them.
+measurements, the embedding and the run layer; the run layer sits below
+the acceptance gate and the command, and the gate never reaches up to the
+command.
 
 Both module-level and function-level imports count, so a deferred import
 cannot hide a cycle.
@@ -8,6 +10,8 @@ cannot hide a cycle.
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -15,14 +19,14 @@ import pytest
 import kgmlab
 
 LOWER = ("kernel", "reduced", "full", "scenarios")
-UPPER = {"diagnostics", "carleman", "cli", "checks"}
+UPPER = {"diagnostics", "carleman", "run", "cli", "checks"}
+MODULES = sorted(m.name for m in pkgutil.iter_modules(kgmlab.__path__))
 
 
-def imported_modules(name: str) -> set[str]:
-    """kgmlab modules that module `name` imports, at any nesting depth."""
-    tree = ast.parse((Path(kgmlab.__file__).parent / f"{name}.py").read_text())
+def imported_modules(source: str) -> set[str]:
+    """kgmlab modules that the module `source` imports, at any nesting depth."""
     found: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level == 0:
@@ -40,11 +44,49 @@ def imported_modules(name: str) -> set[str]:
     return found
 
 
+def source_of(name: str) -> str:
+    return (Path(kgmlab.__file__).parent / f"{name}.py").read_text()
+
+
+def imports_of(name: str) -> set[str]:
+    return imported_modules(source_of(name))
+
+
 @pytest.mark.parametrize("name", LOWER)
 def test_lower_layers_import_nothing_above_them(name):
-    assert not imported_modules(name) & UPPER
+    assert not imports_of(name) & UPPER
+
+
+@pytest.mark.parametrize("name, above", [
+    ("run", {"cli", "checks"}),
+    ("checks", {"cli"}),
+], ids=["run", "checks"])
+def test_run_layer_and_gate_never_import_the_command(name, above):
+    assert not imports_of(name) & above
 
 
 def test_import_scan_sees_nested_imports():
-    # cli imports checks inside a function only
-    assert {"checks", "diagnostics", "carleman"} <= imported_modules("cli")
+    source = (
+        "from .kernel import Grid1D\n"
+        "def deferred():\n"
+        "    from . import checks\n"
+        "    import kgmlab.run\n"
+    )
+    assert imported_modules(source) == {"kernel", "checks", "run"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_level_imports(name):
+    # every dependency shows at the top of its module
+    nested = [node.lineno
+              for fn in ast.walk(ast.parse(source_of(name)))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested
+
+
+@pytest.mark.parametrize("name", ["kgmlab"] + [f"kgmlab.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing

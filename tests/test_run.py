@@ -1,0 +1,79 @@
+"""The run layer: one configured run, its outputs, and the snapshot reader's
+refusals.  The command and the acceptance gate both run through here."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from kgmlab import checks, run
+from kgmlab.cli import main
+from kgmlab.kernel import Grid1D, GuardViolation, Params
+from kgmlab.scenarios import default_scenario, make_scenario
+
+
+def reduced_snapshot(tmp_path: Path) -> Path:
+    path = tmp_path / "red.bin"
+    s0 = make_scenario(default_scenario("matter-packet"), Params(), Grid1D(n=32))
+    run.write_snapshot(path, s0.to_reduced())
+    return path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", None), ("rows", None), ("kind", None), ("t", None), ("length", None),
+    ("charge_mean", None), ("n", "eight"), ("t", [0.0]),
+], ids=["no-n", "no-rows", "no-kind", "no-t", "no-length", "no-charge_mean",
+        "n-eight", "t-list"])
+def test_malformed_sidecar_names_its_field(tmp_path, key, value):
+    path = reduced_snapshot(tmp_path)
+    sidecar = Path(str(path) + ".json")
+    meta = json.loads(sidecar.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(run.FormatVersionMismatch, match=repr(key)):
+        run.read_snapshot(path)
+
+
+def test_sidecar_that_is_not_an_object_is_refused(tmp_path):
+    path = reduced_snapshot(tmp_path)
+    Path(str(path) + ".json").write_text("[1, 2]\n")
+    with pytest.raises(run.FormatVersionMismatch, match="JSON list"):
+        run.read_snapshot(path)
+
+
+@pytest.mark.parametrize("flavor", ["full", "reduced"])
+def test_integrate_writes_what_the_command_writes(tmp_path, flavor):
+    by_command, by_call = tmp_path / "cmd", tmp_path / "call"
+    assert main([f"run-{flavor}", "--n", "64", "--t-end", "0.2", "--every", "3",
+                 "--out", str(by_command)]) == 0
+    cfg = run.RunConfig(grid=Grid1D(n=64), t_end=0.2, every=3, out_dir=str(by_call))
+    run.write_run_outputs(cfg, run.integrate(cfg, flavor))
+
+    names = sorted(f.name for f in by_command.iterdir() if f.name != "config.txt")
+    assert names == sorted(f.name for f in by_call.iterdir() if f.name != "config.txt")
+    assert "extras.csv" in names and "snap_00000.bin" in names
+    for name in names:
+        assert (by_command / name).read_bytes() == (by_call / name).read_bytes()
+    # the echoes differ only in output.dir
+    echoed = run.RunConfig.parse((by_command / "config.txt").read_text())
+    assert echoed == replace(cfg, out_dir=str(by_command))
+
+
+@pytest.mark.parametrize("error", [
+    GuardViolation("|B_0| below the floor"),
+    PermissionError("read-only output directory"),
+], ids=["simulation-error", "os-error"])
+def test_determinism_criterion_fails_on_a_run_error(monkeypatch, error):
+    def broken(cfg, flavor):
+        raise error
+
+    monkeypatch.setattr(run, "integrate", broken)
+    ok, detail = dict(checks.CRITERIA)["determinism-persistence"]()
+    assert not ok
+    assert type(error).__name__ in detail and str(error) in detail
