@@ -60,8 +60,8 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot = deriv_xx(s.phi, g) + (p.e**2 * bsq - p.m**2) * s.phi
 
     d_b1 = deriv_x(s.B[1], g)
-    div_b = s.Bdot[0] - d_b1
-    return phi_ddot, spatial_accel(s.B, div_b, d_b1, phi_sq, p, g)
+    dd = deriv_x(np.stack([d_b1, s.Bdot[0] - d_b1]), g)
+    return phi_ddot, spatial_accel(s.B, dd, phi_sq, p, g)
 
 
 # ---------------------------------------------------------------------------

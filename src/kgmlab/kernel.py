@@ -102,41 +102,48 @@ class Params:
 # as free functions (not grid methods) because every hot loop in the package
 # calls them and the call sites read better unqualified.
 #
+# They act along the last axis, so one call differentiates every row of an
+# (m, n) stack: the integrators batch the rows that are ready together and
+# pay each call's fixed overhead once per stack.  Any view works as input,
+# a row slice such as B[:2] or a transposed stack alike.
+#
 # They are written as slice stencils: the interior is one whole-slice
-# operation and the two periodic wrap points are filled separately, so no
-# shifted copy of the input is ever allocated.  Each output point is
-# formed in the same IEEE operation order as the periodic-shift definition,
-# (f[j+1] - f[j-1]) / (2h) and ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the
-# results are bit-identical to it, including at n = 2 and n = 4 where the
-# two stencil legs land on the same points.
+# operation and the two periodic wrap points, [..., 0] and [..., -1], are
+# filled separately, so no shifted copy of the input is ever allocated.
+# Each output point is formed in the same IEEE operation order as the
+# periodic-shift definition, (f[j+1] - f[j-1]) / (2h) and
+# ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the results are bit-identical to
+# it, row by row, including at n = 2 and n = 4 where the two stencil legs
+# land on the same points.
 
 
 def deriv_x(f: Array, g: Grid1D) -> Array:
-    """Centered first derivative on the periodic grid.
+    """Centered first derivative on the periodic grid, along the last axis.
 
-    Second-order accurate; antisymmetric, so its output always sums to
-    zero over the grid.  Exact for constants everywhere and for linear
+    Second-order accurate; antisymmetric, so each output row always sums
+    to zero over the grid.  Exact for constants everywhere and for linear
     functions away from the periodic wrap.
     """
     f = np.asarray(f, dtype=float)
     out = np.empty_like(f)
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[0] = f[1] - f[-1]
-    out[-1] = f[0] - f[-2]
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    out[..., 0] = f[..., 1] - f[..., -1]
+    out[..., -1] = f[..., 0] - f[..., -2]
     out /= 2.0 * g.h
     return out
 
 
 def deriv_xx(f: Array, g: Grid1D) -> Array:
-    """Centered second derivative (compact 3-point stencil), periodic."""
+    """Centered second derivative (compact 3-point stencil), periodic, along
+    the last axis."""
     f = np.asarray(f, dtype=float)
     out = np.multiply(f, 2.0)
     # f[j+1] - 2 f[j]; the last point still holds 2 f[-1] for its wrap
-    np.subtract(f[1:], out[:-1], out=out[:-1])
-    out[-1] = f[0] - out[-1]
+    np.subtract(f[..., 1:], out[..., :-1], out=out[..., :-1])
+    out[..., -1] = f[..., 0] - out[..., -1]
     # ... + f[j-1]
-    out[1:] += f[:-1]
-    out[0] += f[-1]
+    out[..., 1:] += f[..., :-1]
+    out[..., 0] += f[..., -1]
     out /= g.h * g.h
     return out
 
@@ -150,15 +157,15 @@ def lorentz_dot(u: Array, v: Array) -> Array:
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
 
 
-def spatial_accel(B: Array, div_b: Array, d_b1: Array, Phi: Array, p: Params,
-                  g: Grid1D) -> Array:
+def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D) -> Array:
     """Spatial rows (3, n) of box(B_i) - d_i(div B) = -2 e^2 B_i Phi, the
     vector-field equation both integrators share:
 
         B_ddot_1   = D(D B_1) + D(div B) - 2 e^2 B_1 Phi
         B_ddot_2,3 = laplacian(B_2,3) - 2 e^2 B_2,3 Phi
 
-    The caller passes d_b1 = D B_1 and div_b = dB_0/dt - D B_1, and the
+    The caller passes dd, the (2, n) stack [D(D B_1), D(div B)] from one
+    deriv_x call on [D B_1, div B] with div B = dB_0/dt - D B_1, and the
     intensity Phi = phi^2, carried (full) or reconstructed (reduced).
 
     B_1's second derivative is the composed stencil D(D .), not the compact
@@ -169,11 +176,12 @@ def spatial_accel(B: Array, div_b: Array, d_b1: Array, Phi: Array, p: Params,
     B_0 sector).  The transverse rows have no such pairing partner and keep
     the compact stencil.
     """
-    e2 = p.e**2
     out = np.empty((3, g.n))
-    out[0] = deriv_x(d_b1, g) + deriv_x(div_b, g) - 2.0 * e2 * B[1] * Phi
-    out[1] = deriv_xx(B[2], g) - 2.0 * e2 * B[2] * Phi
-    out[2] = deriv_xx(B[3], g) - 2.0 * e2 * B[3] * Phi
+    np.add(dd[0], dd[1], out=out[0])
+    out[1:] = deriv_xx(B[2:], g)
+    screen = np.multiply(2.0 * p.e**2, B[1:])
+    screen *= Phi
+    out -= screen
     return out
 
 
@@ -303,21 +311,36 @@ class Trajectory:
 # time stepping
 
 
+def _axpy(a: Array, h: float, k: Array) -> Array:
+    """a + h*k in a new array; neither input is written."""
+    out = np.multiply(h, k)
+    return np.add(a, out, out=out)
+
+
 def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array, ...]:
     """One classical four-stage Runge-Kutta step of the arrays in y.
 
     rhs(t, *y) returns the rates of y as a tuple of the same length.  Every
     integrator in the package steps through here, so they all share one
     operation order: stages a + 0.5*dt*k, update a + (dt/6)*(k1+2k2+2k3+k4).
+
+    Each stage and the update are formed in place in arrays allocated here.
+    A rate may be an array that rhs was given (the B rate of the reduced
+    flow is its Bdot, so k1 is the caller's state), so neither y nor any
+    rate is ever written.
     """
+    half = 0.5 * dt
     k1 = rhs(t, *y)
-    k2 = rhs(t + 0.5 * dt, *(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(t + 0.5 * dt, *(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(t + dt, *(a + dt * k for a, k in zip(y, k3)))
-    return tuple(
-        a + (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
-    )
+    k2 = rhs(t + half, *[_axpy(a, half, k) for a, k in zip(y, k1)])
+    k3 = rhs(t + half, *[_axpy(a, half, k) for a, k in zip(y, k2)])
+    k4 = rhs(t + dt, *[_axpy(a, dt, k) for a, k in zip(y, k3)])
+    out = []
+    for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4):
+        acc = _axpy(p1, 2.0, p2)
+        np.add(acc, np.multiply(2.0, p3), out=acc)
+        np.add(acc, p4, out=acc)
+        out.append(np.add(a, np.multiply(dt / 6.0, acc, out=acc), out=acc))
+    return tuple(out)
 
 
 def comb_dt(t_end: float, g: Grid1D) -> float:

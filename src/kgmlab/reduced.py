@@ -92,14 +92,17 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     composed form keeps every branch inside the wave cone.
     """
     b0 = _guarded_b0(s, p)
-    return _phi(s, p, b0, deriv_x(s.Bdot[1], s.grid))
-
-
-def _phi(s: ReducedState, p: Params, b0: Array, d_bd1: Array) -> Array:
-    """reconstruct_phi given the guarded B_0 and D(dB_1/dt)."""
     g = s.grid
-    gauss = deriv_x(deriv_x(s.B[0], g), g) - d_bd1
-    return (gauss / (2.0 * p.e**2) + s.charge_mean) / b0
+    return _phi(s, p, b0, deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
+
+
+def _phi(s: ReducedState, p: Params, b0: Array, dd_b0: Array, d_bd1: Array) -> Array:
+    """reconstruct_phi given the guarded B_0, D(D B_0) and D(dB_1/dt)."""
+    Phi = dd_b0 - d_bd1
+    Phi /= 2.0 * p.e**2
+    Phi += s.charge_mean
+    Phi /= b0
+    return Phi
 
 
 def reconstruct_phi_dot(s: ReducedState, Phi: Array, p: Params) -> Array:
@@ -123,7 +126,10 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array, p: Params) -> Array:
 def _phi_dot(s: ReducedState, Phi: Array, b0: Array, div_b: Array,
              dPhi: Array) -> Array:
     """reconstruct_phi_dot given the guarded B_0, div B and D(Phi)."""
-    return (s.B[1] * dPhi - div_b * Phi) / b0
+    Phidot = s.B[1] * dPhi
+    Phidot -= div_b * Phi
+    Phidot /= b0
+    return Phidot
 
 
 def accel_reduced(s: ReducedState, p: Params) -> Array:
@@ -135,8 +141,10 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     Phiddot, and last the B_0 acceleration from the differentiated
     conservation identity.
 
-    The derivatives those steps share (D B_1, D dB_1/dt, D Phi) and the
-    guarded B_0 are formed once per call.
+    The stencils run by dependency level, each call taking every row that
+    is ready: D of [B_0, B_1] and of dB_1/dt, then D of [D B_0, D B_1,
+    div B], then D Phi, D Phidot and the Laplacians.  Products go through
+    one scratch row, in the operation order of the formulas below.
     """
     g = s.grid
     e2 = p.e**2
@@ -144,40 +152,53 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     bd0, bd1 = s.Bdot[0], s.Bdot[1]
 
     b0_safe = _guarded_b0(s, p)
-    d_b1 = deriv_x(b1, g)
+    # first = [D B_0, D B_1, div B], second = D of each row
+    first = np.empty((3, g.n))
+    first[:2] = deriv_x(s.B[:2], g)
+    div_b = np.subtract(bd0, first[1], out=first[2])
     d_bd1 = deriv_x(bd1, g)
-    div_b = bd0 - d_b1
+    second = deriv_x(first, g)
 
-    Phi = _phi(s, p, b0_safe, d_bd1)
+    Phi = _phi(s, p, b0_safe, second[0], d_bd1)
     dPhi = deriv_x(Phi, g)
     Phidot = _phi_dot(s, Phi, b0_safe, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
     acc = np.empty((4, g.n))
-    acc[1:] = spatial_accel(s.B, div_b, d_b1, Phi, p, g)
+    acc[1:] = spatial_accel(s.B, second[1:], Phi, p, g)
 
     # Matter wave equation in Phi.  The quotient term is bounded on the
     # solution manifold (numerator is O(Phi) near zeros of Phi), so below
     # the floor it is replaced by its limiting value 0.
     low = np.abs(Phi) < p.phi_floor
+    high = ~low
+    w = np.multiply(dPhi, dPhi)
+    numer = np.multiply(Phidot, Phidot)
+    numer -= w
     quot = np.zeros_like(Phi)
-    np.divide(Phidot**2 - dPhi**2, 2.0 * Phi, out=quot, where=~low)
-    bsq = lorentz_dot(s.B, s.B)
-    Phiddot = deriv_xx(Phi, g) + quot + 2.0 * (e2 * bsq - p.m**2) * Phi
+    np.divide(numer, np.multiply(2.0, Phi, out=w), out=quot, where=high)
+    # 2 (e^2 B^mu B_mu - m^2) Phi
+    mass = lorentz_dot(s.B, s.B)
+    mass *= e2
+    mass -= p.m**2
+    mass *= 2.0
+    mass *= Phi
+    Phiddot = deriv_xx(Phi, g)
+    Phiddot += quot
+    Phiddot += mass
 
     # Closure: d/dt of [div(B) Phi + B^mu d_mu Phi] = 0, solved for the
     # B_0 acceleration.  Grouping the remaining terms as `bracket`,
     #   b_ddot_0 = d/dx(dB_1/dt) - bracket / Phi,
-    # with the quotient left at 0 wherever Phi is below the floor.
-    bracket = (
-        div_b * Phidot
-        + bd0 * Phidot
-        - bd1 * dPhi
-        + b0 * Phiddot
-        - b1 * dPhidot
-    )
+    # with the quotient left at 0 wherever Phi is below the floor:
+    #   bracket = div_b Phidot + bd0 Phidot - bd1 dPhi + b0 Phiddot - b1 dPhidot
+    bracket = div_b * Phidot
+    bracket += np.multiply(bd0, Phidot, out=w)
+    bracket -= np.multiply(bd1, dPhi, out=w)
+    bracket += np.multiply(b0, Phiddot, out=w)
+    bracket -= np.multiply(b1, dPhidot, out=w)
     closure = np.zeros_like(Phi)
-    np.divide(bracket, Phi, out=closure, where=~low)
+    np.divide(bracket, Phi, out=closure, where=high)
     np.subtract(d_bd1, closure, out=acc[0])
 
     if np.any(low):

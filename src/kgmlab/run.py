@@ -233,6 +233,13 @@ def _meta_field(meta: dict, key: str, cast: Callable[[object], object]):
         raise FormatVersionMismatch(f"snapshot sidecar field {key!r}: {err}") from err
 
 
+def _finite(value: object) -> float:
+    x = float(value)  # type: ignore[arg-type]
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x!r}")
+    return x
+
+
 def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
     """Inverse of write_snapshot; bit-exact on the field arrays."""
     path = Path(path)
@@ -257,6 +264,13 @@ def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
     if rows != expected_rows:
         raise FormatVersionMismatch(
             f"{kind} snapshot promises {rows} rows, expected {expected_rows}")
+    length = _meta_field(meta, "length", float)
+    try:
+        g = Grid1D(n=n, length=length)
+    except ValueError as err:
+        # Grid1D's messages start with the field name
+        key, _, reason = str(err).partition(": ")
+        raise FormatVersionMismatch(f"snapshot sidecar field {key!r}: {reason}") from err
 
     blob = path.read_bytes()
     expected = rows * n * 8
@@ -266,10 +280,9 @@ def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
             f"{expected} (rows={rows}, n={n})")
     data = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(rows, n)
 
-    g = Grid1D(n=n, length=_meta_field(meta, "length", float))
-    common = dict(t=_meta_field(meta, "t", float), B=data[0:4].copy(),
+    common = dict(t=_meta_field(meta, "t", _finite), B=data[0:4].copy(),
                   Bdot=data[4:8].copy(), grid=g,
-                  charge_mean=_meta_field(meta, "charge_mean", float))
+                  charge_mean=_meta_field(meta, "charge_mean", _finite))
     if kind == "full":
         state: ReducedState = FullState(phi=data[8].copy(), phidot=data[9].copy(),
                                         **common)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .kernel import (
     Array,
@@ -121,10 +121,11 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     kernel, nearly null under faint screening.  Each block is therefore
     split as x_s = c_s + y_s with mean(y_s) = 0: y_s = y0_s + c_s y1_s
     solves (L_s - P S_s) y = P (r_s + c_s S_s), P removing the block mean,
-    which is conditioned like L_s.  One banded solve of both blocks, S on
-    the diagonal and no wrap corners, takes the right sides [P r, P S,
-    ends, 1]; a 2 x 2 Woodbury step per block adds back the corners and the
-    rank-one term 1 (S - a)^T / m, which turns -S into -P S and pins mean(y).
+    which is conditioned like L_s.  One tridiagonal solve of both blocks
+    (LAPACK gtsv; a zero pivot raises SingularOperator), S on the diagonal
+    and no wrap corners, takes the right sides [P r, P S, ends, 1]; a 2 x 2
+    Woodbury step per block adds back the corners and the rank-one term
+    1 (S - a)^T / m, which turns -S into -P S and pins mean(y).
 
     The block means of K x = rhs fix the constants: with
     gain_s = mean(S_s) + mean(S_s y1_s) and f_s = mean(r_s) + mean(S_s y0_s),
@@ -139,24 +140,36 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     n, m = g.n, g.n // 2
     a = 0.25 / (g.h * g.h)
     screen = 2.0 * p.e**2 * phi_sq
-    order = np.r_[0:n:2, 1:n:2]  # even points, then odd
-    r, s = rhs[order].reshape(2, m), screen[order].reshape(2, m)
+    # rows: the even points, then the odd ones, copied contiguous because a
+    # sum over a strided view rounds differently
+    r = np.ascontiguousarray(rhs.reshape(m, 2).T)
+    s = np.ascontiguousarray(screen.reshape(m, 2).T)
+    r_mean, s_mean = r.sum(1) / m, s.sum(1) / m
     ends = np.zeros((2, m))
     ends[:, [0, -1]] = 1.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = ab[2, :-1] = a
-    ab[0, m] = ab[2, m - 1] = 0.0  # the two blocks do not couple
-    ab[1] = (-2.0 * a - s - a * ends).ravel()
-    cols = np.stack([r - r.mean(1, keepdims=True), s - s.mean(1, keepdims=True),
-                     ends, np.ones((2, m))])
+    # the tridiagonal of both blocks, which do not couple; gtsv overwrites
+    # all four arguments, so dl and du are separate arrays
+    du = np.full(n - 1, a)
+    du[m - 1] = 0.0
+    dl = du.copy()
+    d = (-2.0 * a - s - a * ends).ravel()
+    cols = np.empty((4, 2, m))
+    np.subtract(r, r_mean[:, None], out=cols[0])
+    np.subtract(s, s_mean[:, None], out=cols[1])
+    cols[2] = ends
+    cols[3] = 1.0
     # z[b, k, j]: block b, point k, right side j
-    z = solve_banded((1, 1), ab, cols.reshape(4, n).T).T.reshape(4, 2, m).transpose(1, 2, 0)
+    _, _, _, z, info = dgtsv(dl, d, du, cols.reshape(4, n).T, overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise SingularOperator(f"the tridiagonal block solve hit a zero pivot at row {info}")
+    z = z.T.reshape(4, 2, m).transpose(1, 2, 0)
     wz = np.stack([a * ends, (s - a) / m], axis=1) @ z
     y = z[..., :2] - z[..., 2:] @ np.linalg.solve(np.eye(2) + wz[..., 2:], wz[..., :2])
     y0, y1 = y[..., 0], y[..., 1]
 
-    f = r.mean(1) + (s * y0).mean(1)
-    gain = s.mean(1) + (s * y1).mean(1)
+    f = r_mean + (s * y0).sum(1) / m
+    gain = s_mean + (s * y1).sum(1) / m
     if projected:
         f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
     free = gain == 0.0
@@ -167,9 +180,8 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     c = np.zeros_like(f)
     np.divide(-f, gain, out=c, where=~free)
     if projected:
-        c = np.r_[c, -c]
-    x = np.empty(n)
-    x[order] = (y0 + c[:, None] * (1.0 + y1)).ravel()
+        c = np.concatenate([c, -c])
+    x = (y0 + c[:, None] * (1.0 + y1)).T.ravel()
 
     # normwise backward error: forming K x alone costs about eps ||K|| ||x||,
     # and ||K||_inf = 1/h^2 (D(D .), absent at n = 2) + max(screen) grows

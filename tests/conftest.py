@@ -5,6 +5,10 @@ the textbook periodic-shift definitions below.  Tests compare against these
 references directly, or swap them into the package to check that whole
 integrator steps come out the same to the last bit.
 
+The screened constraint solve keeps its earlier form as a reference too:
+fancy-indexed sublattices, `.mean()` and scipy's `solve_banded`, which the
+package's direct LAPACK call must match bit for bit.
+
 The truncated Fock space is referenced the same way: an `itertools`
 enumeration with a dict index, per-state ladder loops, and the generator
 built as sparse products of cached lowering-matrix powers.
@@ -19,18 +23,22 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 import kgmlab.kernel
+from kgmlab.scenarios import SingularOperator
 
 
 def roll_deriv_x(f, g):
-    """(f[j+1] - f[j-1]) / (2h), built from two shifted copies."""
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * g.h)
+    """(f[j+1] - f[j-1]) / (2h) along the last axis, built from two
+    shifted copies."""
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * g.h)
 
 
 def roll_deriv_xx(f, g):
-    """((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), built from two shifted copies."""
-    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (g.h * g.h)
+    """((f[j+1] - 2 f[j]) + f[j-1]) / (h*h) along the last axis, built from
+    two shifted copies."""
+    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (g.h * g.h)
 
 
 @pytest.fixture
@@ -61,6 +69,42 @@ def use_roll_stencils(monkeypatch):
         assert kgmlab.kernel.deriv_x is roll_deriv_x
 
     return install
+
+
+def reference_screened_solve(phi_sq, rhs, p, g, projected):
+    """x of scenarios._screened_solve, through np.r_ sublattices and
+    solve_banded; the backward-error gate is left out."""
+    n, m = g.n, g.n // 2
+    a = 0.25 / (g.h * g.h)
+    screen = 2.0 * p.e**2 * phi_sq
+    order = np.r_[0:n:2, 1:n:2]
+    r, s = rhs[order].reshape(2, m), screen[order].reshape(2, m)
+    ends = np.zeros((2, m))
+    ends[:, [0, -1]] = 1.0
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = a
+    ab[0, m] = ab[2, m - 1] = 0.0
+    ab[1] = (-2.0 * a - s - a * ends).ravel()
+    cols = np.stack([r - r.mean(1, keepdims=True), s - s.mean(1, keepdims=True),
+                     ends, np.ones((2, m))])
+    z = solve_banded((1, 1), ab, cols.reshape(4, n).T).T.reshape(4, 2, m).transpose(1, 2, 0)
+    wz = np.stack([a * ends, (s - a) / m], axis=1) @ z
+    y = z[..., :2] - z[..., 2:] @ np.linalg.solve(np.eye(2) + wz[..., 2:], wz[..., :2])
+    y0, y1 = y[..., 0], y[..., 1]
+    f = r.mean(1) + (s * y0).mean(1)
+    gain = s.mean(1) + (s * y1).mean(1)
+    if projected:
+        f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
+    free = gain == 0.0
+    if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs)))):
+        raise SingularOperator("unbalanced unscreened sublattice")
+    c = np.zeros_like(f)
+    np.divide(-f, gain, out=c, where=~free)
+    if projected:
+        c = np.r_[c, -c]
+    x = np.empty(n)
+    x[order] = (y0 + c[:, None] * (1.0 + y1)).ravel()
+    return x
 
 
 def reference_states(k, cutoff):

@@ -444,6 +444,15 @@ def test_classical_flow_riccati_endpoint():
     assert still[0] == 0.5
 
 
+def test_classical_flow_leaves_its_input_unmodified():
+    _, sys_, x0 = tiny_reduced_embedding()
+    x0 = np.asarray(x0, dtype=complex)
+    before = x0.copy()
+    out = classical_flow(sys_, x0, 0.01, 1e-3)
+    assert np.array_equal(x0, before)
+    assert not np.shares_memory(out, x0)
+
+
 # ---------------------------------------------------------------------------
 # polynomial-system plumbing
 # ---------------------------------------------------------------------------

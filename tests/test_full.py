@@ -137,6 +137,20 @@ def test_step_bit_identical_under_reference_stencils(scenario, use_roll_stencils
     assert fast.charge_mean == ref.charge_mean
 
 
+@pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
+def test_step_leaves_its_input_unmodified(scenario):
+    # both branches step through the in-place RK4, whose first rates are
+    # the state's own phidot and Bdot rows
+    g = Grid1D(n=64)
+    p = Params()
+    s = make_scenario(default_scenario(scenario), p, g)
+    before = s.copy()
+    out = step_full(s, 0.5 * g.h, p)
+    for name, arr in before.field_arrays():
+        assert_array_equal(getattr(s, name), arr)
+        assert not np.shares_memory(getattr(out, name), getattr(s, name))
+
+
 def test_step_guard_violation_below_floor():
     g = Grid1D(n=32)
     p = Params()

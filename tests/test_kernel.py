@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.kernel import (
@@ -113,6 +115,45 @@ def test_slice_stencils_bit_identical_to_periodic_shift(n, roll_stencils):
         assert out.dtype == np.float64
         assert_array_equal(out, ref(ints, g))
         assert_array_equal(op(list(floats), g), ref(floats, g))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(log_n=st.integers(1, 12), m=st.integers(1, 4),
+       layout=st.sampled_from(["stack", "head", "tail", "strided", "transposed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencils_on_row_stacks_equal_row_by_row_calls(log_n, m, layout, seed):
+    # one call on an (m, n) stack must give each row's 1-D result bit for
+    # bit, on any view: B[:2] and B[2:] style row slices, every other row,
+    # and a transposed stack whose rows are strided
+    n = 2**log_n
+    g = Grid1D(n=n, length=3.0)
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((2 * m + 2, n)) * 10.0 ** rng.uniform(-8, 8, (2 * m + 2, n))
+    stack = {"stack": big[:m].copy(), "head": big[:m], "tail": big[-m:],
+             "strided": big[::2][:m], "transposed": np.ascontiguousarray(big[:m].T).T}[layout]
+    before = big.copy()
+    for op in (deriv_x, deriv_xx):
+        out = op(stack, g)
+        assert out.shape == (m, n)
+        for row, got in zip(stack, out):
+            assert_array_equal(got, op(row.copy(), g))
+    assert_array_equal(big, before)
+
+
+def test_rk4_writes_neither_state_nor_rates():
+    # the rates alias the state (k1 of y0 is y1 itself) and a held array;
+    # the step must leave all of them as they were
+    y = (np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]))
+    held = np.array([3.0, 1.0, -2.0])
+    kept = [a.copy() for a in (*y, held)]
+
+    def rhs(t, a, b):
+        return b, held
+
+    out = rk4(rhs, 0.0, y, 0.1)
+    for arr, want in zip((*y, held), kept):
+        assert_array_equal(arr, want)
+    assert not any(np.shares_memory(o, a) for o in out for a in (*y, held))
 
 
 def test_stencil_convergence_order_two():

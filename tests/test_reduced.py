@@ -274,6 +274,18 @@ def test_step_reversal_returns_to_start():
         assert reduced_distance(back, s0) <= 1.0 * dt**5
 
 
+def test_step_leaves_its_input_unmodified():
+    # the RK4 stages are formed in place, and the first B rate is s.Bdot
+    g = Grid1D(n=64)
+    p = Params()
+    s = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
+    before = s.copy()
+    out = step_reduced(s, comb_dt(0.1, g), p)
+    for name, arr in before.field_arrays():
+        assert_array_equal(getattr(s, name), arr)
+        assert not np.shares_memory(getattr(out, name), getattr(s, name))
+
+
 def test_step_and_run_bit_identical_under_reference_stencils(use_roll_stencils):
     g = Grid1D(n=64)
     p = Params()

@@ -40,6 +40,25 @@ def test_malformed_sidecar_names_its_field(tmp_path, key, value):
         run.read_snapshot(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 3), ("length", 0.0), ("length", -1.0), ("length", "nan"), ("t", "inf"),
+    ("charge_mean", "-inf"),
+], ids=["n-not-power-of-two", "length-zero", "length-negative", "length-nan", "t-inf",
+        "charge_mean-inf"])
+def test_out_of_range_sidecar_names_its_field(tmp_path, key, value):
+    # each passes the type cast, so only a range check can refuse it; the
+    # n = 3 binary is cut to the 8 * 3 doubles the sidecar then promises
+    path = reduced_snapshot(tmp_path)
+    sidecar = Path(str(path) + ".json")
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    if key == "n":
+        path.write_bytes(path.read_bytes()[:8 * 3 * 8])
+    with pytest.raises(run.FormatVersionMismatch, match=repr(key)):
+        run.read_snapshot(path)
+
+
 def test_sidecar_that_is_not_an_object_is_refused(tmp_path):
     path = reduced_snapshot(tmp_path)
     Path(str(path) + ".json").write_text("[1, 2]\n")

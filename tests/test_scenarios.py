@@ -16,7 +16,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from numpy.testing import assert_allclose
+from conftest import reference_screened_solve
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab import scenarios
 from kgmlab.full import step_full
@@ -276,6 +277,51 @@ def test_screened_solve_meets_gate_in_one_pass(n, log_scale, projected, seed):
     assert np.all(np.isfinite(x))
 
 
+@pytest.mark.parametrize("case", ["bright", "faint", "half-dark"])
+@pytest.mark.parametrize("projected", [False, True], ids=["pinned", "projected"])
+@pytest.mark.parametrize("n", [2, 4, 64, 4096])
+def test_screened_solve_bit_identical_to_banded_reference(n, projected, case):
+    # the direct gtsv call, reshaped sublattices and sum / m must reproduce
+    # the fancy-indexed solve_banded form to the last bit, on every branch:
+    # "half-dark" leaves the odd sublattice unscreened with a balanced
+    # right-hand side, so its constant is the free one
+    rng = np.random.default_rng(n)
+    g = Grid1D(n=n)
+    p = Params()
+    phi_sq = (1e-9 if case == "faint" else 1.0) * rng.uniform(0.01, 1.0, n)
+    rhs = rng.uniform(-1.0, 1.0, n)
+    if case == "half-dark":
+        phi_sq[1::2] = 0.0
+        rhs[1::2] -= rhs[1::2].mean()
+    assert_array_equal(scenarios._screened_solve(phi_sq, rhs, p, g, projected),
+                       reference_screened_solve(phi_sq, rhs, p, g, projected))
+
+
+def test_zero_pivot_is_a_singular_operator():
+    # at n = 2 each block is one point with diagonal -3a - S; a (negative)
+    # screening of exactly -3a zeroes the even point's pivot
+    g = Grid1D(n=2)
+    a = 0.25 / (g.h * g.h)
+    phi_sq = np.array([-1.5 * a, 1.0])
+    with pytest.raises(SingularOperator, match="zero pivot"):
+        scenarios._screened_solve(phi_sq, np.array([1.0, -1.0]), Params(), g, False)
+
+
+@pytest.mark.parametrize("charge_mean", [None, 0.1], ids=["projected", "pinned"])
+@pytest.mark.parametrize("field, j", [("phi", 0), ("phi", 37), ("bdot1", 0), ("bdot1", 63)])
+def test_nan_input_is_a_simulation_error(field, j, charge_mean):
+    # a NaN must end in the solver's own gate (exit 1), not in a bare
+    # ValueError that the command would report as a config error
+    g = Grid1D(n=64)
+    p = Params()
+    phi = 0.3 * (0.5 + np.exp(np.cos(g.x() - np.pi) - 1.0))
+    bdot_i = np.zeros((3, g.n))
+    bdot_i[0] = 0.1 * np.sin(g.x())
+    (phi if field == "phi" else bdot_i[0])[j] = np.nan
+    with pytest.raises(SimulationError, match="residual"):
+        solve_gauss_constraint(phi, bdot_i, p, g, charge_mean=charge_mean)
+
+
 # ---------------------------------------------------------------------------
 # the residual gate and the fine-grid envelope
 
@@ -311,11 +357,15 @@ def test_perturbed_solve_trips_residual_gate(monkeypatch, charge_mean):
     phi = 0.3 * (0.5 + np.exp(np.cos(g.x() - np.pi) - 1.0))
     bdot_i = np.zeros((3, g.n))
     bdot_i[0] = 0.1 * np.sin(g.x())
-    solve = scenarios.solve_banded
+    gtsv = scenarios.dgtsv
+
+    def perturbed(*args, **kwargs):
+        *factors, x, info = gtsv(*args, **kwargs)
+        return (*factors, x * (1.0 + 1e-3), info)
+
     # a relative error of 1e-3 in the banded solve leaves a backward error
     # of 1e-5 to 1e-3, far past the gate
-    monkeypatch.setattr(scenarios, "solve_banded",
-                        lambda *args: solve(*args) * (1.0 + 1e-3))
+    monkeypatch.setattr(scenarios, "dgtsv", perturbed)
     with pytest.raises(SimulationError, match="residual"):
         solve_gauss_constraint(phi, bdot_i, p, g, charge_mean=charge_mean)
 
