@@ -117,13 +117,13 @@ class PolySystem:
     monomial, each repeated by its power: x_0^2 x_3 is (0, 0, 3) and a
     constant is ().  Coefficients may be complex.  `names`, when present,
     documents the variable ordering.  The monomials are compiled once, at
-    construction, into the gather form `rhs` evaluates.
+    construction, into the table `rhs` evaluates.
     """
 
     k: int
     terms: tuple[tuple[_Term, ...], ...]
     names: tuple[str, ...] | None = None
-    _gather: list = field(init=False, repr=False)
+    _table: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or len(self.terms) != self.k:
@@ -136,32 +136,25 @@ class PolySystem:
                     raise ValueError("factors must be nondecreasing variable indices below k")
                 if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
                     raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "_gather", _compile_terms(self))
+        # one row per monomial, by degree and then by appearance, the order
+        # in which each variable's sum adds them; factors are padded to the
+        # top degree with index k, where rhs puts 1
+        table = sorted(((i, coef, factors) for i, var_terms in enumerate(self.terms)
+                        for coef, factors in var_terms), key=lambda row: len(row[2]))
+        top = max((len(factors) for _, _, factors in table), default=0)
+        rows = np.array([i for i, _, _ in table], dtype=np.intp)
+        coefs = np.array([coef for _, coef, _ in table], dtype=complex)
+        factors = np.array([f + (self.k,) * (top - len(f)) for _, _, f in table],
+                           dtype=np.intp).reshape(len(table), top)
+        scatter = sp.csr_matrix((np.ones(len(table), dtype=complex),
+                                 (rows, np.arange(len(table)))), shape=(self.k, len(table)))
+        object.__setattr__(self, "_table", (coefs, factors, scatter))
 
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros(self.k, dtype=complex)
-        for rows, coefs, idx in self._gather:
-            vals = coefs if idx.shape[1] == 0 else coefs * np.prod(x[idx], axis=1)
-            np.add.at(out, rows, vals)
-        return out
-
-
-def _compile_terms(sys: PolySystem):
-    """Group monomials by degree into gather-index form for fast evaluation."""
-    by_degree: dict[int, tuple[list, list, list]] = {}
-    for i, var_terms in enumerate(sys.terms):
-        for coef, factors in var_terms:
-            rows, coefs, idx = by_degree.setdefault(len(factors), ([], [], []))
-            rows.append(i)
-            coefs.append(coef)
-            idx.append(factors)
-    out = []
-    for d, (rows, coefs, idx) in sorted(by_degree.items()):
-        out.append((np.array(rows), np.array(coefs, dtype=complex),
-                    np.array(idx, dtype=np.intp).reshape(len(rows), d)))
-    return out
+        coefs, factors, scatter = self._table
+        x = np.append(np.asarray(x, dtype=complex), 1.0)
+        return scatter @ (coefs * np.prod(x[factors], axis=1))
 
 
 def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import checks
 from .carleman import (
+    PolySystem,
     classical_flow,
     fock_readout,
     lotka_system,
@@ -172,69 +173,55 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_carleman(args: argparse.Namespace) -> int:
+    cutoff, t_end, start, demo = _CARLEMAN_DEMOS[args.system]
     if args.cutoff is None:
-        # the grid embedding's state space grows combinatorially with the
-        # cutoff, so its sweep stops far earlier than the toy systems do
-        args.cutoff = 3 if args.system == "reduced-tiny" else 16
+        args.cutoff = cutoff
     if args.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
     if args.t_end is None:
-        # the 24-variable embedding only converges at affordable cutoffs
-        # over a short horizon; default inside that window
-        args.t_end = 0.05 if args.system == "reduced-tiny" else 1.0
+        args.t_end = t_end
     if args.xi0 is None:
         args.xi0 = 0.5
-    elif args.system in ("lotka", "reduced-tiny"):
+    elif start is None:
         raise ConfigError(f"--xi0 does not apply to {args.system}, which starts "
                           "from a fixed state")
     for flag, value in (("--t-end", args.t_end), ("--xi0", args.xi0)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
-    if args.system == "riccati":
-        return _demo_riccati(args)
-    if args.system == "rotation":
-        return _demo_rotation(args)
-    if args.system == "lotka":
-        return _demo_lotka(args)
-    return _demo_reduced_tiny(args)
+    return demo(args, None if start is None else start(args.xi0))
 
 
-def _demo_riccati(args: argparse.Namespace) -> int:
-    got = fock_readout(riccati_system(), np.array([args.xi0]), args.t_end, args.cutoff)[1]
-    value = float(got[0].real)
-    exact = args.xi0 / (1.0 + args.xi0 * args.t_end)
-    print(f"riccati: xi0={args.xi0:g} cutoff={args.cutoff} t={args.t_end:g}")
-    print(f"readout = {value:.12e}")
-    print(f"exact   = {exact:.12e}")
-    print(f"error   = {abs(value - exact):.3e}")
-    return 0
-
-
-def _demo_rotation(args: argparse.Namespace) -> int:
-    x0 = np.array([args.xi0, 0.0])
-    got = fock_readout(rotation_system(), x0, args.t_end, args.cutoff)[1].real
-    t = args.t_end
-    exact = np.array([args.xi0 * np.cos(t), -args.xi0 * np.sin(t)])
-    print(f"rotation: cutoff={args.cutoff} t={t:g}")
-    print(f"readout = ({got[0]:.12e}, {got[1]:.12e})")
-    print(f"exact   = ({exact[0]:.12e}, {exact[1]:.12e})")
-    print(f"error   = {float(np.max(np.abs(got - exact))):.3e}")
-    return 0
-
-
-def _demo_lotka(args: argparse.Namespace) -> int:
-    sys_ = lotka_system()
-    x0 = np.array([0.4, 0.2])
+def _toy_demo(args: argparse.Namespace, title: str, sys_: PolySystem, x0: np.ndarray,
+              label: str, reference: np.ndarray) -> int:
+    """Readout at --t-end against the reference; two modes print as a pair."""
     got = fock_readout(sys_, x0, args.t_end, args.cutoff)[1].real
-    oracle = classical_flow(sys_, x0.astype(complex), args.t_end, 1.0e-4).real
-    print(f"lotka: cutoff={args.cutoff} t={args.t_end:g} x0=({x0[0]:g}, {x0[1]:g})")
-    print(f"readout = ({got[0]:.12e}, {got[1]:.12e})")
-    print(f"oracle  = ({oracle[0]:.12e}, {oracle[1]:.12e})")
-    print(f"error   = {float(np.max(np.abs(got - oracle))):.3e}")
+    fmt = "{:.12e}" if sys_.k == 1 else "({:.12e}, {:.12e})"
+    print(title)
+    print(f"readout = {fmt.format(*got)}")
+    print(f"{label:<7} = {fmt.format(*reference)}")
+    print(f"error   = {float(np.max(np.abs(got - reference))):.3e}")
     return 0
 
 
-def _demo_reduced_tiny(args: argparse.Namespace) -> int:
+def _demo_riccati(args: argparse.Namespace, x0: np.ndarray) -> int:
+    return _toy_demo(args, f"riccati: xi0={args.xi0:g} cutoff={args.cutoff} t={args.t_end:g}",
+                     riccati_system(), x0, "exact", x0 / (1.0 + x0 * args.t_end))
+
+
+def _demo_rotation(args: argparse.Namespace, x0: np.ndarray) -> int:
+    t = args.t_end
+    return _toy_demo(args, f"rotation: cutoff={args.cutoff} t={t:g}", rotation_system(), x0,
+                     "exact", np.array([args.xi0 * np.cos(t), -args.xi0 * np.sin(t)]))
+
+
+def _demo_lotka(args: argparse.Namespace, _: None) -> int:
+    sys_, x0 = lotka_system(), np.array([0.4, 0.2])
+    oracle = classical_flow(sys_, x0.astype(complex), args.t_end, 1.0e-4).real
+    return _toy_demo(args, f"lotka: cutoff={args.cutoff} t={args.t_end:g} "
+                           f"x0=({x0[0]:g}, {x0[1]:g})", sys_, x0, "oracle", oracle)
+
+
+def _demo_reduced_tiny(args: argparse.Namespace, _: None) -> int:
     s0, sys_, x0 = tiny_reduced_embedding()
     drift = reciprocal_drift(sys_, x0, args.t_end)
     print(f"reduced-tiny: n={s0.grid.n} vars={sys_.k} t={args.t_end:g}")
@@ -243,6 +230,18 @@ def _demo_reduced_tiny(args: argparse.Namespace) -> int:
     for cutoff, (dim, err) in zip(cutoffs, readout_errors(sys_, x0, args.t_end, cutoffs)):
         print(f"cutoff={cutoff}  fock_dim={dim}  max_abs_error_vs_oracle={err:.3e}")
     return 0
+
+
+# demo system -> (default --cutoff, default --t-end, the start made from
+# --xi0 or None for a fixed start, which refuses --xi0, the demo).  The grid
+# embedding's state space grows combinatorially with the cutoff, and it
+# converges at affordable cutoffs only over a short horizon.
+_CARLEMAN_DEMOS = {
+    "riccati": (16, 1.0, lambda xi0: np.array([xi0]), _demo_riccati),
+    "rotation": (16, 1.0, lambda xi0: np.array([xi0, 0.0]), _demo_rotation),
+    "lotka": (16, 1.0, None, _demo_lotka),
+    "reduced-tiny": (3, 0.05, None, _demo_reduced_tiny),
+}
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -339,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="truncated-ladder linearization demos with closed-form or "
              "high-accuracy oracles")
     sub.add_argument("system",
-                     choices=("riccati", "rotation", "lotka", "reduced-tiny"),
+                     choices=tuple(_CARLEMAN_DEMOS),
                      help="demo system")
     sub.add_argument("--xi0", type=float, default=None,
                      help="initial amplitude of riccati and rotation "
@@ -368,17 +367,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
+        # a ValueError is a failed run-argument precondition (unreachable
+        # t_end, bad every, ...)
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        # run-argument preconditions (unreachable t_end, bad every, ...)
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except SimulationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (SimulationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

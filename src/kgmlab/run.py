@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,13 +211,7 @@ def write_snapshot(path: str | Path,
         "length": state.grid.length,
         "t": state.t,
         "charge_mean": state.charge_mean,
-        "scenario": None if scenario is None else {
-            "name": scenario.name,
-            "amplitude": scenario.amplitude,
-            "width": scenario.width,
-            "wavenumber": scenario.wavenumber,
-            "offset": scenario.offset,
-        },
+        "scenario": None if scenario is None else asdict(scenario),
     }
     blob = b"".join(np.ascontiguousarray(r, dtype="<f8").tobytes() for r in rows)
     path.write_bytes(blob)
