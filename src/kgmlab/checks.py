@@ -35,7 +35,7 @@ from .carleman import (
     tiny_reduced_embedding,
 )
 from .diagnostics import observed_order
-from .kernel import Grid1D, SimulationError, comb_dt
+from .kernel import Grid1D, SimulationError
 from .reduced import accel_reduced, phi_identity_check, reconstruct_phi
 from .scenarios import default_scenario
 
@@ -52,14 +52,12 @@ _T_END = 1.0
 
 @lru_cache(maxsize=None)
 def _ladder_level(n: int) -> dict[str, float]:
-    # dt halves exactly level to level from the comb step of the coarsest
-    # grid (the finer grids' own combs need not halve: 41, 82, 163 steps).
+    # each level runs on its own comb step, as `kgmlab convergence` does.
     # every=1 keeps the snapshot comb uniform through the endpoint; a
     # stride that does not divide the step count leaves a short final
     # interval whose one-sided time difference pollutes the charge-balance
     # residual unevenly across levels (measured order 1.64 vs 1.96)
-    cfg = run.RunConfig(grid=Grid1D(n=n), t_end=_T_END, every=1,
-                        dt=comb_dt(_T_END, Grid1D(n=_LADDER[0])) * _LADDER[0] / n)
+    cfg = run.RunConfig(grid=Grid1D(n=n), t_end=_T_END, every=1)
     out, traj_red = run.ladder_level(cfg)
 
     identity = 0.0

@@ -223,12 +223,25 @@ def _meta_field(meta: dict, key: str, cast: Callable[[object], object]):
         raise FormatVersionMismatch(f"snapshot sidecar lacks the field {key!r}")
     try:
         return cast(meta[key])
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise FormatVersionMismatch(f"snapshot sidecar field {key!r}: {err}") from err
 
 
+# JSON true and false load as bool, a subclass of int, so both casts refuse it
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _finite(value: object) -> float:
-    x = float(value)  # type: ignore[arg-type]
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x!r}")
     return x
@@ -247,8 +260,8 @@ def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
         raise FormatVersionMismatch(
             f"snapshot format {version!r} is not supported; this reader handles "
             f"format {SNAPSHOT_FORMAT!r}")
-    n = _meta_field(meta, "n", int)
-    rows = _meta_field(meta, "rows", int)
+    n = _meta_field(meta, "n", _integer)
+    rows = _meta_field(meta, "rows", _integer)
     kind = _meta_field(meta, "kind", lambda v: v)
     if kind not in ("full", "reduced"):
         raise FormatVersionMismatch(
@@ -258,7 +271,7 @@ def read_snapshot(path: str | Path) -> tuple[ReducedState, dict]:
     if rows != expected_rows:
         raise FormatVersionMismatch(
             f"{kind} snapshot promises {rows} rows, expected {expected_rows}")
-    length = _meta_field(meta, "length", float)
+    length = _meta_field(meta, "length", _number)
     try:
         g = Grid1D(n=n, length=length)
     except ValueError as err:

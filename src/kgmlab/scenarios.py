@@ -112,8 +112,10 @@ def default_scenario(name: str) -> ScenarioSpec:
 # the screened solve
 
 
-def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: bool) -> Array:
-    """Solve K x = rhs, K = D(D .) - S with S = 2 e^2 Phi, or its mean-projected form.
+def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
+                    charge: float | None = None) -> Array:
+    """Solve K x = rhs + charge, K = D(D .) - S with S = 2 e^2 Phi, or with
+    charge None the mean-projected form of K x = rhs.
 
     D(D .) couples j only to j +- 2 and S is diagonal, so the even and the
     odd points form two blocks L_s - S_s of m = n/2 points, L_s periodic
@@ -127,18 +129,22 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     Woodbury step per block adds back the corners and the rank-one term
     1 (S - a)^T / m, which turns -S into -P S and pins mean(y).
 
-    The block means of K x = rhs fix the constants: with
+    The block means of K x = r fix the constants: with
     gain_s = mean(S_s) + mean(S_s y1_s) and f_s = mean(r_s) + mean(S_s y0_s),
     pinned mode solves c_s gain_s = -f_s; projected mode (the zero-mean x
     with P K x = P rhs, P removing the grid mean) has c_e = -c_o, and the
     difference of the block equations gives c_e (gain_e + gain_o) = f_o - f_e.
-    A block without screening (gain 0) has a free constant, set to 0 when
-    its mean equation holds to 1e-12 max|rhs|; otherwise SingularOperator
-    is raised.  The solve is accepted when |K x - rhs| <= 1e-14 (||K|| |x|
-    + |rhs|) in the max norm, the residual mean-removed in projected mode.
+    In pinned mode rhs is a flux divergence, whose block means are exactly
+    0, so mean(r_s) is charge itself: summing rhs would only add the
+    rounding of that 0, which outweighs a faint matter's charge.  A block
+    without screening (gain 0) has a free constant, set to 0 when its mean
+    equation holds to 1e-12 max|r|; otherwise SingularOperator is raised.
+    The solve is accepted when |K x - r| <= 1e-14 (||K|| |x| + |r|) in the
+    max norm, the residual mean-removed in projected mode.
     """
     n, m = g.n, g.n // 2
     a = 0.25 / (g.h * g.h)
+    projected = charge is None
     screen = 2.0 * p.e**2 * phi_sq
     # rows: the even points, then the odd ones, copied contiguous because a
     # sum over a strided view rounds differently
@@ -168,11 +174,13 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D, projected: 
     y = z[..., :2] - z[..., 2:] @ np.linalg.solve(np.eye(2) + wz[..., 2:], wz[..., :2])
     y0, y1 = y[..., 0], y[..., 1]
 
-    f = r_mean + (s * y0).sum(1) / m
+    f = (r_mean if projected else charge) + (s * y0).sum(1) / m
     gain = s_mean + (s * y1).sum(1) / m
     if projected:
         f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
     free = gain == 0.0
+    if not projected:
+        rhs = rhs + charge
     if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs)))):
         raise SingularOperator("the screening vanishes on the even or the odd points and "
                                "the right-hand side breaks that block's mean equation; "
@@ -238,12 +246,10 @@ def solve_gauss_constraint(
     d_bdot1 = deriv_x(np.asarray(bdot_i[0], dtype=float), g)
 
     if charge_mean is None:
-        rhs = d_bdot1 + 2.0 * p.e**2 * phi_sq * offset
-    elif offset != 0.0:
+        return offset + _screened_solve(phi_sq, d_bdot1 + 2.0 * p.e**2 * phi_sq * offset, p, g)
+    if offset != 0.0:
         raise ValueError("offset and charge_mean are mutually exclusive")
-    else:
-        rhs = d_bdot1 - 2.0 * p.e**2 * charge_mean
-    return offset + _screened_solve(phi_sq, rhs, p, g, projected=charge_mean is None)
+    return _screened_solve(phi_sq, d_bdot1, p, g, charge=-2.0 * p.e**2 * charge_mean)
 
 
 def solve_gauss_rate(

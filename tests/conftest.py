@@ -71,10 +71,11 @@ def use_roll_stencils(monkeypatch):
     return install
 
 
-def reference_screened_solve(phi_sq, rhs, p, g, projected):
+def reference_screened_solve(phi_sq, rhs, p, g, charge=None):
     """x of scenarios._screened_solve, through np.r_ sublattices and
     solve_banded; the backward-error gate is left out."""
     n, m = g.n, g.n // 2
+    projected = charge is None
     a = 0.25 / (g.h * g.h)
     screen = 2.0 * p.e**2 * phi_sq
     order = np.r_[0:n:2, 1:n:2]
@@ -91,12 +92,12 @@ def reference_screened_solve(phi_sq, rhs, p, g, projected):
     wz = np.stack([a * ends, (s - a) / m], axis=1) @ z
     y = z[..., :2] - z[..., 2:] @ np.linalg.solve(np.eye(2) + wz[..., 2:], wz[..., :2])
     y0, y1 = y[..., 0], y[..., 1]
-    f = r.mean(1) + (s * y0).mean(1)
+    f = (r.mean(1) if projected else charge) + (s * y0).mean(1)
     gain = s.mean(1) + (s * y1).mean(1)
     if projected:
         f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
     free = gain == 0.0
-    if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs)))):
+    if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs + (charge or 0.0))))):
         raise SingularOperator("unbalanced unscreened sublattice")
     c = np.zeros_like(f)
     np.divide(-f, gain, out=c, where=~free)

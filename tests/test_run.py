@@ -24,9 +24,11 @@ def reduced_snapshot(tmp_path: Path) -> Path:
 
 @pytest.mark.parametrize("key, value", [
     ("n", None), ("rows", None), ("kind", None), ("t", None), ("length", None),
-    ("charge_mean", None), ("n", "eight"), ("t", [0.0]),
+    ("charge_mean", None), ("n", "eight"), ("t", [0.0]), ("n", 64.9), ("n", "64"),
+    ("rows", 8.5), ("rows", "8"), ("t", "0.5"), ("length", "6.5"), ("charge_mean", True),
 ], ids=["no-n", "no-rows", "no-kind", "no-t", "no-length", "no-charge_mean",
-        "n-eight", "t-list"])
+        "n-eight", "t-list", "n-fraction", "n-string", "rows-fraction", "rows-string",
+        "t-string", "length-string", "charge_mean-bool"])
 def test_malformed_sidecar_names_its_field(tmp_path, key, value):
     path = reduced_snapshot(tmp_path)
     sidecar = Path(str(path) + ".json")
@@ -41,13 +43,14 @@ def test_malformed_sidecar_names_its_field(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n", 3), ("length", 0.0), ("length", -1.0), ("length", "nan"), ("t", "inf"),
-    ("charge_mean", "-inf"),
+    ("n", 3), ("length", 0.0), ("length", -1.0), ("length", float("nan")),
+    ("t", float("inf")), ("charge_mean", float("-inf")), ("t", 10**400),
 ], ids=["n-not-power-of-two", "length-zero", "length-negative", "length-nan", "t-inf",
-        "charge_mean-inf"])
+        "charge_mean-inf", "t-past-float"])
 def test_out_of_range_sidecar_names_its_field(tmp_path, key, value):
-    # each passes the type cast, so only a range check can refuse it; the
-    # n = 3 binary is cut to the 8 * 3 doubles the sidecar then promises
+    # each passes the type check, so only a range check can refuse it (json
+    # writes NaN and Infinity for the non-finite floats); the n = 3 binary
+    # is cut to the 8 * 3 doubles the sidecar then promises
     path = reduced_snapshot(tmp_path)
     sidecar = Path(str(path) + ".json")
     meta = json.loads(sidecar.read_text())

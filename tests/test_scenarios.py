@@ -20,6 +20,7 @@ from conftest import reference_screened_solve
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab import scenarios
+from kgmlab.cli import main
 from kgmlab.full import step_full
 from kgmlab.kernel import Grid1D, GuardViolation, Params, SimulationError, deriv_x
 from kgmlab.scenarios import (
@@ -236,31 +237,37 @@ def test_screened_solve_matches_dense_reference(data, n, projected):
 
     K = dense_screened_operator(phi_sq, p, g)
     free = [b for b in (0, 1) if not np.any(phi_sq[b::2])]
+    charge = None
     if projected:
         # bordered form: K b - c 1 = rhs with mean(b) = 0, nonsingular
         # while either sublattice is screened
         border, pin = -np.ones((n, 1)), np.ones((1, n)) / n
+        total = rhs
     else:
-        # the free constant exists only if rhs has zero mean on its
-        # sublattice; then the solve returns zero mean there
+        # the pinned right side is a flux divergence plus a constant; the
+        # free constant exists only if that constant is 0, and then the
+        # solve returns zero mean there
+        rhs = deriv_x(rhs, g)
         if free and not data.draw(st.booleans(), label="balanced"):
-            assume(max(abs(rhs[b::2].mean()) for b in free) > 1e-9 * np.max(np.abs(rhs)))
+            charge = data.draw(st.floats(-1.0, 1.0), label="charge")
+            assume(abs(charge) > 1e-9 * np.max(np.abs(rhs)))
             with pytest.raises(SingularOperator):
-                scenarios._screened_solve(phi_sq, rhs, p, g, projected)
+                scenarios._screened_solve(phi_sq, rhs, p, g, charge)
             return
+        charge = 0.0 if free else data.draw(st.floats(-1.0, 1.0), label="charge")
         border = np.zeros((n, len(free)))
         for col, b in enumerate(free):
-            rhs[b::2] -= rhs[b::2].mean()
             border[b::2, col] = 1.0
         pin = border.T / (n // 2)
+        total = rhs + charge
     A = np.block([[K, border], [pin, np.zeros((len(pin), len(pin)))]])
-    want = np.linalg.solve(A, np.append(rhs, np.zeros(len(pin))))[:n]
-    got = scenarios._screened_solve(phi_sq, rhs, p, g, projected)
+    want = np.linalg.solve(A, np.append(total, np.zeros(len(pin))))[:n]
+    got = scenarios._screened_solve(phi_sq, rhs, p, g, charge)
 
     # forward error of a backward-stable solve: eps |A^-1| (|A| |x| + |rhs|)
     inv_norm = np.linalg.norm(np.linalg.inv(A), np.inf)
     bound = 100.0 * np.finfo(float).eps * inv_norm * (
-        np.linalg.norm(A, np.inf) * np.max(np.abs(want)) + np.max(np.abs(rhs)))
+        np.linalg.norm(A, np.inf) * np.max(np.abs(want)) + np.max(np.abs(total)))
     assert np.max(np.abs(got - want)) <= bound
 
 
@@ -273,7 +280,11 @@ def test_screened_solve_meets_gate_in_one_pass(n, log_scale, projected, seed):
     rng = np.random.default_rng(seed)
     phi_sq = 10.0**log_scale * rng.uniform(0.01, 1.0, n)
     rhs = rng.uniform(-1.0, 1.0, n)
-    x = scenarios._screened_solve(phi_sq, rhs, Params(), Grid1D(n=n), projected)
+    charge = None
+    if not projected:
+        # the pinned right side: a flux divergence plus a constant
+        rhs, charge = deriv_x(rhs, Grid1D(n=n)), rng.uniform(-1.0, 1.0)
+    x = scenarios._screened_solve(phi_sq, rhs, Params(), Grid1D(n=n), charge)
     assert np.all(np.isfinite(x))
 
 
@@ -284,17 +295,22 @@ def test_screened_solve_bit_identical_to_banded_reference(n, projected, case):
     # the direct gtsv call, reshaped sublattices and sum / m must reproduce
     # the fancy-indexed solve_banded form to the last bit, on every branch:
     # "half-dark" leaves the odd sublattice unscreened with a balanced
-    # right-hand side, so its constant is the free one
+    # right-hand side, so its constant is the free one; the pinned right
+    # side is a flux divergence plus a constant, 0 when half-dark
     rng = np.random.default_rng(n)
     g = Grid1D(n=n)
     p = Params()
     phi_sq = (1e-9 if case == "faint" else 1.0) * rng.uniform(0.01, 1.0, n)
     rhs = rng.uniform(-1.0, 1.0, n)
+    charge = None
+    if not projected:
+        rhs, charge = deriv_x(rhs, g), (0.0 if case == "half-dark" else rng.uniform(-1.0, 1.0))
     if case == "half-dark":
         phi_sq[1::2] = 0.0
-        rhs[1::2] -= rhs[1::2].mean()
-    assert_array_equal(scenarios._screened_solve(phi_sq, rhs, p, g, projected),
-                       reference_screened_solve(phi_sq, rhs, p, g, projected))
+        if projected:
+            rhs[1::2] -= rhs[1::2].mean()
+    assert_array_equal(scenarios._screened_solve(phi_sq, rhs, p, g, charge),
+                       reference_screened_solve(phi_sq, rhs, p, g, charge))
 
 
 def test_zero_pivot_is_a_singular_operator():
@@ -304,7 +320,7 @@ def test_zero_pivot_is_a_singular_operator():
     a = 0.25 / (g.h * g.h)
     phi_sq = np.array([-1.5 * a, 1.0])
     with pytest.raises(SingularOperator, match="zero pivot"):
-        scenarios._screened_solve(phi_sq, np.array([1.0, -1.0]), Params(), g, False)
+        scenarios._screened_solve(phi_sq, np.array([1.0, -1.0]), Params(), g, charge=0.0)
 
 
 @pytest.mark.parametrize("charge_mean", [None, 0.1], ids=["projected", "pinned"])
@@ -370,13 +386,16 @@ def test_perturbed_solve_trips_residual_gate(monkeypatch, charge_mean):
         solve_gauss_constraint(phi, bdot_i, p, g, charge_mean=charge_mean)
 
 
-@pytest.mark.parametrize("amplitude", [1e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("amplitude", [1e-9, 1e-8, 1e-7, 1e-20, 1e-40, 1e-80])
 @pytest.mark.parametrize("n", [128, 1024, 4096])
 def test_faint_packet_steps_b0_as_a_brighter_one_does(n, amplitude):
     # each sublattice block of K has a near-null constant mode, eigenvalue
     # about -mean(2 e^2 Phi); one step must move B_0 as much at amplitudes
-    # 1e-9 to 1e-7 as at 1e-6, without a float warning.  Measured moves 6.493e-5,
+    # 1e-80 to 1e-7 as at 1e-6, without a float warning.  Measured moves 6.493e-5,
     # 1.015e-6, 6.35e-8 at n = 128, 1024, 4096, equal across amplitudes to 0.2%.
+    # Below about 1e-17 the charge term 2 e^2 qbar ~ amplitude^2 is smaller
+    # than the rounding of the flux divergence's block mean, which is exactly
+    # 0, so the pinned solve must take the charge term on its own.
     p = Params()
     g = Grid1D(n=n)
 
@@ -387,3 +406,13 @@ def test_faint_packet_steps_b0_as_a_brighter_one_does(n, amplitude):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert b0_move(amplitude) == pytest.approx(b0_move(1e-6), rel=0.02)
+
+
+def test_faintest_packet_runs_full(tmp_path):
+    # at amplitude 1e-160 the intensity is subnormal; the pinned solve used to
+    # overflow there, with a RuntimeWarning (an error in this suite), and
+    # then fail its gate
+    config = tmp_path / "faint.cfg"
+    config.write_text("scenario.amplitude = 1e-160\n")
+    assert main(["run-full", "--config", str(config), "--n", "64", "--t-end", "0.05",
+                 "--out", str(tmp_path / "out")]) == 0
