@@ -227,7 +227,7 @@ def _meta_field(meta: dict, key: str, cast: Callable[[object], object]):
         raise FormatVersionMismatch(f"snapshot sidecar field {key!r}: {err}") from err
 
 
-# JSON true and false load as bool, a subclass of int, so both casts refuse it
+# JSON true and false load as bool, a subclass of int, which both casts refuse
 def _integer(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"must be a JSON integer, got {value!r}")

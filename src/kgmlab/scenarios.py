@@ -129,11 +129,12 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
     Woodbury step per block adds back the corners and the rank-one term
     1 (S - a)^T / m, which turns -S into -P S and pins mean(y).
 
-    The block means of K x = r fix the constants: with
-    gain_s = mean(S_s) + mean(S_s y1_s) and f_s = mean(r_s) + mean(S_s y0_s),
-    pinned mode solves c_s gain_s = -f_s; projected mode (the zero-mean x
-    with P K x = P rhs, P removing the grid mean) has c_e = -c_o, and the
-    difference of the block equations gives c_e (gain_e + gain_o) = f_o - f_e.
+    With r = rhs + charge (rhs in projected mode), the block means of
+    K x = r fix the constants: with gain_s = mean(S_s) + mean(S_s y1_s)
+    and f_s = mean(r_s) + mean(S_s y0_s), pinned mode solves
+    c_s gain_s = -f_s; projected mode (the zero-mean x with P K x = P rhs,
+    P removing the grid mean) has c_e = -c_o, and the difference of the
+    block equations gives c_e (gain_e + gain_o) = f_o - f_e.
     In pinned mode rhs is a flux divergence, whose block means are exactly
     0, so mean(r_s) is charge itself: summing rhs would only add the
     rounding of that 0, which outweighs a faint matter's charge.  A block
