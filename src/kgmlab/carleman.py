@@ -161,8 +161,13 @@ def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array
     """Endpoint of a classical four-stage integration of the system.
 
     The step is shrunk so an integer number of steps lands exactly on t_end;
-    used as the high-accuracy oracle for the Fock-space readout.
+    used as the high-accuracy oracle for the Fock-space readout.  Raises
+    ValueError unless t_end is finite and dt finite and nonzero.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not math.isfinite(dt) or dt == 0.0:
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
     x = np.asarray(x0, dtype=complex).copy()
     if t_end == 0.0:
         return x
@@ -242,31 +247,41 @@ class FockBasis:
             raise ValueError("cutoff must be nonnegative")
         k, cutoff = self.k, self.cutoff
         # prepend one mode at a time: the rows of head h are the current
-        # rows with total <= cutoff - h, which stay in lexicographic order
+        # rows with total <= cutoff - h, which stay in lexicographic order;
+        # the row totals travel with the rows, for the next mode and `below`
         states = np.zeros((1, 0), dtype=np.min_scalar_type(cutoff))
+        total = np.zeros(1, dtype=np.intp)
         for _ in range(k):
-            total = states.sum(axis=1)
-            states = np.concatenate([np.insert(states[total <= cutoff - h], 0, h, axis=1)
-                                     for h in range(cutoff + 1)])
+            heads = [total <= cutoff - h for h in range(cutoff + 1)]
+            states = np.concatenate([np.insert(states[rows], 0, h, axis=1)
+                                     for h, rows in enumerate(heads)])
+            total = np.concatenate([total[rows] + h for h, rows in enumerate(heads)])
         dim = len(states)
         assert dim == math.comb(cutoff + k, k)
 
         # tail[l, p] counts the rows over modes l..k-1 with total <= cutoff - p,
-        # so a row n has  sum_l tail[l, P_l] - tail[l, P_l + n_l]  rows before
-        # it, where P_l = n_0 + .. + n_{l-1}
+        # so a row n has  sum_j tail[j, P_j] - tail[j, P_{j+1}]  rows before
+        # it, where P_j = n_0 + .. + n_{j-1} (`before`; P_{j+1} is `after`).
+        # Raising mode l keeps the terms below l, ends term l at P_{l+1} + 1
+        # and shifts every later term to tail[j, P_j + 1] - tail[j, P_{j+1} + 1],
+        # so one prefix sum of the terms and one suffix sum of the shifted
+        # terms rank all k raises
         tail = np.array([[math.comb(cutoff - p + k - l, k - l) for p in range(cutoff + 1)]
                          for l in range(k)], dtype=np.int64)
         modes = np.arange(k)
         down = np.full((k, dim), -1, dtype=np.int32 if dim <= 2**31 - 1 else np.int64)
         up = np.full_like(down, -1)
-        below = np.flatnonzero(states.sum(axis=1) < cutoff)
-        for l in range(k):
-            raised = states[below]
-            raised[:, l] += 1
-            after = np.cumsum(raised, axis=1, dtype=np.intp)
-            to = np.sum(tail[modes, after - raised] - tail[modes, after], axis=1)
-            up[l, below] = to
-            down[l, to] = below
+        below = np.flatnonzero(total < cutoff)
+        occ = states[below]
+        after = np.cumsum(occ, axis=1, dtype=np.intp)
+        before = after - occ
+        kept = tail[modes, before] - tail[modes, after]
+        shifted = tail[modes, before + 1] - tail[modes, after + 1]
+        prefix = np.cumsum(kept, axis=1) - kept
+        suffix = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1] - shifted
+        to = prefix + tail[modes, before] - tail[modes, after + 1] + suffix
+        up[:, below] = to.T
+        down[modes, to] = below[:, None]
         for name, arr in (("states", states), ("down", down), ("up", up)):
             arr.flags.writeable = False  # frozen like the basis itself
             object.__setattr__(self, name, arr)
@@ -301,11 +316,14 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
     A monomial of F_i, coef times the lowering operators of its factors,
     followed by raise_i, sends each basis row to at most one row, so it is
     one row map: the rows are followed through `basis.down` once per factor
-    and `basis.up` for the raise, the sqrt(occupation) amplitudes multiplied along the way.  All
-    maps are assembled as one sparse matrix, duplicates summed and exact
-    zeros dropped.  Lowering operators commute exactly on the truncated
-    space, so the factor order inside a monomial is immaterial (the
-    nondecreasing factor order is used).
+    and `basis.up` for the raise, the sqrt(occupation) amplitudes multiplied
+    along the way.  Monomials share factor prefixes ((0,), (0, 1), (0, 1, 1)
+    ...), so each prefix is followed once per call, from its parent's rows,
+    and kept until the last monomial through it; each monomial applies only
+    its raise, in the order of `sys.terms`.  All maps are assembled as one
+    sparse matrix, duplicates summed and exact zeros dropped.  Lowering
+    operators commute exactly on the truncated space, so the factor order
+    inside a monomial is immaterial (the nondecreasing factor order is used).
     """
     if basis.cutoff < 1:
         raise CutoffTooSmall("occupation cutoff must be at least 1 to carry any dynamics")
@@ -314,22 +332,34 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
     sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
     empty = np.empty(0, dtype=basis.down.dtype)
     rows, cols, vals = [empty], [empty], [np.empty(0, dtype=complex)]
+    monomials = [(i, coef, factors) for i, var_terms in enumerate(sys.terms)
+                 for coef, factors in var_terms]
+    # factor prefix -> (rows reached, rows started from, amplitudes), each
+    # freed after the last monomial that passes through it
+    every = np.arange(basis.dim, dtype=basis.down.dtype)
+    chains = {(): (every, every, np.ones(basis.dim))}
+    last = {factors[:depth]: n for n, (_, _, factors) in enumerate(monomials)
+            for depth in range(len(factors) + 1)}
 
-    for i, var_terms in enumerate(sys.terms):
-        for coef, factors in var_terms:
-            at = src = np.arange(basis.dim, dtype=basis.down.dtype)
-            amp = np.ones(basis.dim)
-            for l in factors:
-                to = basis.down[l, at]
+    for n, (i, coef, factors) in enumerate(monomials):
+        prefixes = [factors[:depth] for depth in range(len(factors) + 1)]
+        for head in prefixes:
+            if head not in chains:
+                at, src, amp = chains[head[:-1]]
+                to = basis.down[head[-1], at]
                 live = to >= 0
-                amp = amp[live] * sqrt_n[basis.states[at[live], l]]
-                at, src = to[live], src[live]
-            to = basis.up[i, at]
-            live = to >= 0
-            at, src = to[live], src[live]
-            rows.append(at)
-            cols.append(src)
-            vals.append(complex(coef) * amp[live] * sqrt_n[basis.states[at, i]])
+                chains[head] = (to[live], src[live],
+                                amp[live] * sqrt_n[basis.states[at[live], head[-1]]])
+        at, src, amp = chains[factors]
+        to = basis.up[i, at]
+        live = to >= 0
+        at, src = to[live], src[live]
+        rows.append(at)
+        cols.append(src)
+        vals.append(complex(coef) * amp[live] * sqrt_n[basis.states[at, i]])
+        for head in prefixes:
+            if last[head] == n:
+                del chains[head]
     m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(basis.dim, basis.dim)).tocsr()
     m.eliminate_zeros()

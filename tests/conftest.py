@@ -109,9 +109,15 @@ def reference_screened_solve(phi_sq, rhs, p, g, charge=None):
 
 
 def reference_states(k, cutoff):
-    """Occupation tuples of k modes with total <= cutoff, lexicographic."""
-    return [occ for occ in itertools.product(range(cutoff + 1), repeat=k)
-            if sum(occ) <= cutoff]
+    """Occupation tuples of k modes with total <= cutoff, lexicographic.
+
+    A state of total t is a multiset of t modes, so the states are counted
+    out of `combinations_with_replacement` and sorted; the work grows with
+    the dimension, not with (cutoff + 1)^k, and never uses a rank formula.
+    """
+    return sorted(tuple(modes.count(l) for l in range(k))
+                  for total in range(cutoff + 1)
+                  for modes in itertools.combinations_with_replacement(range(k), total))
 
 
 def reference_ladder(k, cutoff):

@@ -85,6 +85,7 @@ def test_basis_enumeration_and_index_maps():
 
 @pytest.mark.parametrize("k, cutoff", [
     (1, 0), (1, 1), (1, 16), (2, 0), (2, 5), (3, 4), (4, 3), (6, 2), (9, 1),
+    (12, 3), (24, 2), (48, 2),
 ])
 def test_basis_and_ladder_match_itertools_enumeration(k, cutoff):
     basis = FockBasis(k=k, cutoff=cutoff)
@@ -196,6 +197,13 @@ def poly_systems(draw, max_degree):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(poly_systems(max_degree=6))
+# factor prefixes shared across variables and degrees, and a repeat that
+# cancels its first monomial
+@example((PolySystem(k=3, terms=(
+    ((1.5 + 0j, ()), (0.5 - 1j, (0, 1))),
+    ((2 + 0j, (0,)), (-0.75 + 0.25j, (0, 1, 1))),
+    ((1j, (0, 1, 2)), (-1.25 + 0j, (0, 1)), (-1j, (0, 1, 2))),
+)), 4))
 def test_build_m_matches_sparse_product_reference(case):
     # each entry sums the same products as the power-chain construction, in
     # another order and association, so they agree to a few ulp of the largest
@@ -442,6 +450,16 @@ def test_classical_flow_riccati_endpoint():
     assert abs(out[0] - 1.0 / 3.0) <= 1e-11
     still = classical_flow(riccati_system(), np.array([0.5]), 0.0, 1e-3)
     assert still[0] == 0.5
+
+
+@pytest.mark.parametrize("t_end, dt, name", [
+    (1.0, 0.0, "dt"), (1.0, -0.0, "dt"), (1.0, math.nan, "dt"), (1.0, math.inf, "dt"),
+    (math.inf, 1e-3, "t_end"), (-math.inf, 1e-3, "t_end"), (math.nan, 1e-3, "t_end"),
+    (0.0, 0.0, "dt"),
+])
+def test_classical_flow_rejects_unusable_horizon_or_step(t_end, dt, name):
+    with pytest.raises(ValueError, match=name):
+        classical_flow(riccati_system(), np.array([0.5]), t_end, dt)
 
 
 def test_classical_flow_leaves_its_input_unmodified():

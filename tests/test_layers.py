@@ -5,6 +5,10 @@ command.
 
 Both module-level and function-level imports count, so a deferred import
 cannot hide a cycle.
+
+The benchmark's tracer names the functions and criteria it times; a name
+that no longer resolves would read as a silent zero there, so the names
+are checked here too.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from pathlib import Path
 import pytest
 
 import kgmlab
+from kgmlab import checks
 
 LOWER = ("kernel", "reduced", "full", "scenarios")
 UPPER = {"diagnostics", "carleman", "run", "cli", "checks"}
 MODULES = sorted(m.name for m in pkgutil.iter_modules(kgmlab.__path__))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def imported_modules(source: str) -> set[str]:
@@ -90,3 +96,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def tracer_constant(name: str):
+    """The literal bound to `name` at the top of the benchmark's tracer,
+    read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not bound in {TRACER.name}")
+
+
+def test_benchmark_traces_only_names_that_exist():
+    traced = tracer_constant("TRACED")
+    missing = [f"{layer}.{name}" for layer, names in traced.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"kgmlab.{layer}"), name)]
+    assert not missing
+    assert set(tracer_constant("CRITERIA")) <= {name for name, _ in checks.CRITERIA}
