@@ -59,7 +59,7 @@ from .kernel import (
     deriv_xx,
     rk4,
 )
-from .reduced import reconstruct_phi, reconstruct_phi_dot
+from .reduced import PHI_FLOOR, below_phi_floor, reconstruct_phi, reconstruct_phi_dot
 
 __all__ = [
     "CutoffTooSmall",
@@ -615,17 +615,17 @@ def lift_reduced_state(s: ReducedState, p: Params) -> Array:
 
     Reconstructs the intensity and its rate, then fills the auxiliary
     reciprocal and logarithmic variables; ordering matches
-    polynomialize_reduced.  The reciprocal requires the intensity to clear
-    the guard floor everywhere (a polynomial system has no fallback branch).
+    polynomialize_reduced.  The reciprocal requires |Phi| to clear
+    PHI_FLOOR everywhere (a polynomial system has no fallback branch).
     """
     g = s.grid
     Phi = reconstruct_phi(s, p)
-    if float(np.min(np.abs(Phi))) < p.phi_floor:
+    if np.any(below_phi_floor(Phi)):
         raise GuardViolation(
-            f"reciprocal intensity needs |Phi| >= {p.phi_floor:g} everywhere; "
+            f"reciprocal intensity needs |Phi| >= {PHI_FLOOR:g} everywhere; "
             f"min |Phi| = {float(np.min(np.abs(Phi))):.3e}"
         )
-    Phidot = reconstruct_phi_dot(s, Phi, p)
+    Phidot = reconstruct_phi_dot(s, Phi)
     return np.concatenate([
         s.B.ravel(),
         s.Bdot.ravel(),

@@ -23,7 +23,7 @@ from .kernel import (
     Trajectory,
     deriv_x,
 )
-from .reduced import reconstruct_phi, reconstruct_phi_dot
+from .reduced import below_phi_floor, reconstruct_phi, reconstruct_phi_dot
 
 __all__ = [
     "CompareReport",
@@ -56,7 +56,7 @@ def _intensity(s: ReducedState, p: Params) -> tuple[Array, Array]:
     if isinstance(s, FullState):
         return s.phi * s.phi, 2.0 * s.phi * s.phidot
     Phi = reconstruct_phi(s, p)
-    return Phi, reconstruct_phi_dot(s, Phi, p)
+    return Phi, reconstruct_phi_dot(s, Phi)
 
 
 def total_energy(s: ReducedState, p: Params) -> float:
@@ -76,7 +76,7 @@ def total_energy(s: ReducedState, p: Params) -> float:
     normalization where the current source is -2 e^2 B_mu phi^2).
 
     Accepts a reduced state as well, with phi^2 reconstructed; the quotient
-    kinetic terms are floored to zero below phi_floor.  The grid sum uses
+    kinetic terms are floored to zero below reduced.PHI_FLOOR.  The grid sum uses
     exactly rounded summation so the result is independent of index origin.
     """
     return _energy(s, p, *_intensity(s, p))
@@ -106,10 +106,9 @@ def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
             + 0.5 * (p.e**2) * coupling_sq * s.phi**2
         )
     else:
-        low = np.abs(Phi) < p.phi_floor
         quot = np.zeros_like(Phi)
         np.divide(Phidot**2 + deriv_x(Phi, g) ** 2, 8.0 * Phi,
-                  out=quot, where=~low)
+                  out=quot, where=~below_phi_floor(Phi))
         matter = quot + 0.5 * (p.m**2) * Phi + 0.5 * (p.e**2) * coupling_sq * Phi
 
     return math.fsum(em + matter) * g.h
@@ -307,7 +306,7 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
     else:
         defect = s.Bdot[0] * Phi + s.B[0] * Phidot - deriv_x(s.B[1] * Phi, g)
         constraint = float(np.max(np.abs(defect)))
-        fallback = float(np.mean(np.abs(Phi) < p.phi_floor))
+        fallback = float(np.mean(below_phi_floor(Phi)))
     return {
         "t": float(s.t),
         "energy": _energy(s, p, Phi, Phidot),

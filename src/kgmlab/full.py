@@ -146,7 +146,7 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     else:
         out = _step_free(s, dt, p)
     out.require_finite()
-    out.check_b0_floor(p)
+    out.check_b0_floor()
     return out
 
 

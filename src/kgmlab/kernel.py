@@ -71,28 +71,21 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Params:
-    """Model couplings and the two floor guards.
-
-    b0_floor guards divisions by B_0 in the reconstruction chain; phi_floor
-    guards divisions by the scalar intensity in the closure.  A |B_0| below
-    its floor stops the run, and so does a closure term that is not small
-    where the intensity is below its floor.
-    """
+    """Model couplings: the charge e and the scalar mass m."""
 
     e: float = 1.0
     m: float = 1.0
-    b0_floor: float = 1.0e-6
-    phi_floor: float = 1.0e-3
 
     def __post_init__(self) -> None:
-        # each message starts with the field name, so a config reader can
-        # name the key; a NaN floor would compare False and switch its guard off
-        checks = (("e", self.e != 0.0, "finite and nonzero"), ("m", True, "finite"),
-                  ("b0_floor", self.b0_floor > 0.0, "finite and positive"),
-                  ("phi_floor", self.phi_floor > 0.0, "finite and positive"))
+        # each message starts with the field name, for a config error to name
+        checks = (("e", self.e != 0.0, "finite and nonzero"), ("m", True, "finite"))
         for name, ok, need in checks:
             if not (ok and np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name}: must be {need}, got {getattr(self, name)!r}")
+
+
+# the reconstruction chain divides by B_0; below this anywhere a run stops
+B0_FLOOR = 1.0e-6
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +225,17 @@ class ReducedState:
             if not np.all(np.isfinite(arr)):
                 raise NonFinite(f"non-finite values in {name} at t={self.t:.6g}")
 
-    def check_b0_floor(self, p: Params) -> None:
-        """Raise unless |B_0| clears the floor everywhere.
+    def check_b0_floor(self, floor: float = B0_FLOOR) -> None:
+        """Raise unless |B_0| clears floor everywhere.
 
         The reconstruction chain divides by B_0, so states that graze zero
         are outside the regime the scheme is built for.
         """
         mag = np.abs(self.B[0])
         j = int(np.argmin(mag))
-        if mag[j] < p.b0_floor:
+        if mag[j] < floor:
             raise GuardViolation(
-                f"|B_0| = {mag[j]:.3e} < b0_floor = {p.b0_floor:.3e} "
+                f"|B_0| = {mag[j]:.3e} < floor {floor:.3e} "
                 f"at grid index {j}, t={self.t:.6g}"
             )
 

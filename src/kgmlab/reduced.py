@@ -46,7 +46,9 @@ from .kernel import (
 
 __all__ = [
     "DegenerateClosure",
+    "PHI_FLOOR",
     "accel_reduced",
+    "below_phi_floor",
     "phi_identity_check",
     "reconstruct_phi",
     "reconstruct_phi_dot",
@@ -59,15 +61,24 @@ class DegenerateClosure(SimulationError):
     """The acceleration of B_0 is undetermined on part of the grid."""
 
 
+PHI_FLOOR = 1.0e-3
+
+
+def below_phi_floor(Phi: Array) -> Array:
+    """Mask of |Phi| < PHI_FLOOR: there the closure and the energy drop their
+    quotients by Phi, and the polynomial lift refuses the state."""
+    return np.abs(Phi) < PHI_FLOOR
+
+
 # ---------------------------------------------------------------------------
 # reconstruction chain
 # ---------------------------------------------------------------------------
 
 
-def _guarded_b0(s: ReducedState, p: Params) -> Array:
+def _guarded_b0(s: ReducedState) -> Array:
     """B_0 as a safe denominator; check_b0_floor raises, with location and
     time, where it is not."""
-    s.check_b0_floor(p)
+    s.check_b0_floor()
     return s.B[0]
 
 
@@ -91,7 +102,7 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     (frequency ~ 1/h^2) that no explicit step at dt ~ h can resolve.  The
     composed form keeps every branch inside the wave cone.
     """
-    b0 = _guarded_b0(s, p)
+    b0 = _guarded_b0(s)
     g = s.grid
     return _phi(s, p, b0, deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
 
@@ -105,7 +116,7 @@ def _phi(s: ReducedState, p: Params, b0: Array, dd_b0: Array, d_bd1: Array) -> A
     return Phi
 
 
-def reconstruct_phi_dot(s: ReducedState, Phi: Array, p: Params) -> Array:
+def reconstruct_phi_dot(s: ReducedState, Phi: Array) -> Array:
     """Time derivative of the intensity from charge conservation.
 
     The conserved current is B^mu * Phi; vanishing divergence isolates the
@@ -118,7 +129,7 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array, p: Params) -> Array:
     and diagnostics measure the Leibniz defect of exactly this choice.
     """
     g = s.grid
-    b0 = _guarded_b0(s, p)
+    b0 = _guarded_b0(s)
     div_b = s.Bdot[0] - deriv_x(s.B[1], g)
     return _phi_dot(s, Phi, b0, div_b, deriv_x(Phi, g))
 
@@ -151,7 +162,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     b0, b1 = s.B[0], s.B[1]
     bd0, bd1 = s.Bdot[0], s.Bdot[1]
 
-    b0_safe = _guarded_b0(s, p)
+    b0_safe = _guarded_b0(s)
     # first = [D B_0, D B_1, div B], second = D of each row
     first = np.empty((3, g.n))
     first[:2] = deriv_x(s.B[:2], g)
@@ -170,7 +181,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     # Matter wave equation in Phi.  The quotient term is bounded on the
     # solution manifold (numerator is O(Phi) near zeros of Phi), so below
     # the floor it is replaced by its limiting value 0.
-    low = np.abs(Phi) < p.phi_floor
+    low = below_phi_floor(Phi)
     high = ~low
     w = np.multiply(dPhi, dPhi)
     numer = np.multiply(Phidot, Phidot)
@@ -205,7 +216,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
         # Divergence-freezing fallback is only admissible where the dropped
         # term is small next to the kept one; otherwise the data is outside
         # the regime the closure can represent.
-        scale = p.phi_floor * (1.0 + float(np.max(np.abs(d_bd1))))
+        scale = PHI_FLOOR * (1.0 + float(np.max(np.abs(d_bd1))))
         worst = float(np.max(np.abs(bracket[low])))
         if worst > scale:
             j = int(np.argmax(np.abs(np.where(low, bracket, 0.0))))
@@ -238,7 +249,7 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
     out = ReducedState(t=s.t + dt, B=B, Bdot=Bdot, grid=s.grid,
                        charge_mean=s.charge_mean)
     out.require_finite()
-    out.check_b0_floor(p)
+    out.check_b0_floor()
     return out
 
 
@@ -266,7 +277,7 @@ def phi_identity_check(s: ReducedState, B_ddot: Array, p: Params) -> Array:
     composed first-difference inside the accelerations), so on a solution
     the result is a genuine O(h^2) measurement, not an algebraic zero.
 
-    Points where |B^nu B_nu| < phi_floor are masked to 0 and excluded from
+    Points where B^nu B_nu is exactly 0 are masked to 0 and excluded from
     any meaningful reading; callers needing the mask can reform it from the
     state.  The background charge mean enters exactly as in reconstruction.
     """
@@ -285,7 +296,7 @@ def phi_identity_check(s: ReducedState, B_ddot: Array, p: Params) -> Array:
 
     contracted = b0 * w0 - b1 * w1 - b2 * w2 - b3 * w3
     bsq = lorentz_dot(s.B, s.B)
-    low = np.abs(bsq) < p.phi_floor
+    low = bsq == 0.0
 
     phi_from_eom = np.zeros_like(bsq)
     np.divide(-contracted / (2.0 * e2) + b0 * s.charge_mean, bsq,

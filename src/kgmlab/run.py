@@ -80,8 +80,6 @@ CONFIG_KEYS: dict[str, tuple[str | None, str, type]] = {
     "grid.length": ("grid", "length", float),
     "params.e": ("params", "e", float),
     "params.m": ("params", "m", float),
-    "params.b0_floor": ("params", "b0_floor", float),
-    "params.phi_floor": ("params", "phi_floor", float),
     "time.dt": (None, "dt", float),
     "time.t_end": (None, "t_end", float),
     "scenario.name": ("scenario", "name", str),

@@ -46,10 +46,10 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .kernel import (
+    B0_FLOOR,
     Array,
     FullState,
     Grid1D,
-    GuardViolation,
     Params,
     SimulationError,
     deriv_x,
@@ -82,7 +82,7 @@ class ScenarioSpec:
     """Name plus shape parameters for initial data.
 
     offset is the additive constant c applied to B_0; it must be chosen so
-    |B_0| clears 2*b0_floor everywhere on the assembled slice.
+    |B_0| clears 2*kernel.B0_FLOOR everywhere on the assembled slice.
     """
 
     name: str
@@ -273,20 +273,22 @@ def solve_gauss_rate(
     problem, only a division by the intensity.  Taking grid means shows the
     returned rate conserves mean(B_0 Phi) automatically.
 
-    Wherever Phi is below phi_floor, identically zero included, the slice
+    phi and phidot are first scaled by the power of two that brings max |phi|
+    into [1/2, 1): exact, bit-neutral, and max Phi then sits in [1/4, 1).
+    Wherever the scaled Phi is 0, phi identically zero included, the slice
     data do not determine the rate (with no matter at all the constraint
     is exactly transported whatever Bdot_0 does).  Those points take
     Bdot_0 = D(B_1), which starts the divergence combination
     Bdot_0 - D(B_1) at zero.
     """
     phi = np.asarray(phi, dtype=float)
+    shift = -np.frexp(np.max(np.abs(phi)))[1]
+    phi, phidot = np.ldexp(phi, shift), np.ldexp(np.asarray(phidot, dtype=float), shift)
     phi_sq = phi * phi
     d_b1 = deriv_x(np.asarray(b1, dtype=float), g)
-    phi_sq_dot = 2.0 * phi * np.asarray(phidot, dtype=float)
-    numer = deriv_x(b1 * phi_sq, g) - np.asarray(b0, dtype=float) * phi_sq_dot
-    low = phi_sq < p.phi_floor
+    numer = deriv_x(b1 * phi_sq, g) - np.asarray(b0, dtype=float) * (2.0 * phi * phidot)
     out = d_b1.copy()
-    np.divide(numer, phi_sq, out=out, where=~low)
+    np.divide(numer, phi_sq, out=out, where=phi_sq != 0.0)
     return out
 
 
@@ -347,11 +349,5 @@ def make_scenario(spec: ScenarioSpec, p: Params, g: Grid1D) -> FullState:
         phi=phi,
         phidot=phidot,
     )
-    mag = np.abs(state.B[0])
-    j = int(np.argmin(mag))
-    if mag[j] < 2.0 * p.b0_floor:
-        raise GuardViolation(
-            f"assembled B_0 magnitude {mag[j]:.3e} at grid index {j} is below "
-            f"2*b0_floor = {2.0 * p.b0_floor:.3e}; raise the scenario offset"
-        )
+    state.check_b0_floor(2.0 * B0_FLOOR)
     return state

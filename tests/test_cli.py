@@ -104,8 +104,6 @@ def test_config_default_echo_text():
         "grid.length = 6.283185307179586\n"
         "params.e = 1.0\n"
         "params.m = 1.0\n"
-        "params.b0_floor = 1e-06\n"
-        "params.phi_floor = 0.001\n"
         "time.dt = 0.0\n"
         "time.t_end = 1.0\n"
         "scenario.name = matter-packet\n"
@@ -277,8 +275,6 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("line, flags, key", [
     ("params.e = nan", [], "params.e"),
     ("params.m = inf", [], "params.m"),
-    ("params.b0_floor = nan", [], "params.b0_floor"),
-    ("params.phi_floor = nan", [], "params.phi_floor"),
     ("scenario.amplitude = nan", [], "scenario.amplitude"),
     ("scenario.offset = inf", [], "scenario.offset"),
     ("scenario.width = 0", [], "scenario.width"),
@@ -287,12 +283,12 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
     ("", ["--dt", "nan"], "time.dt"),
     ("", ["--n", "48"], "grid.n"),
     ("grid.length = 0", [], "grid.length"),
-], ids=["e-nan", "m-inf", "b0_floor-nan", "phi_floor-nan", "amplitude-nan",
+], ids=["e-nan", "m-inf", "amplitude-nan",
         "offset-inf", "width-0", "t_end-inf", "t_end-nan", "dt-nan", "n-48",
         "length-0"])
 def test_non_finite_or_out_of_range_number_exits_2(tmp_path, capsys, line, flags, key):
-    # a NaN floor would switch its guard off and a bad time would fail
-    # deep inside the run; each is a config error naming its key
+    # a NaN coupling or a bad time would fail deep inside the run; each is
+    # a config error naming its key
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"grid.n = 32\ntime.t_end = 0.1\n{line}\n")
     code = main(["run-full", "--config", str(cfg_file), *flags,
@@ -306,15 +302,24 @@ def test_bad_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_deleted_floor_key_exits_2(tmp_path, capsys):
+    # the floors are constants of the code, not configuration
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("grid.n = 32\ntime.t_end = 0.1\nparams.phi_floor = 0.001\n")
+    code = main(["run-full", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown config key 'params.phi_floor'" in capsys.readouterr().err
+
+
 def test_guard_trip_exits_1(tmp_path, capsys):
-    # a config whose floors are impossible to satisfy trips a guard at t=0
+    # with no offset the packet's B_0 is 0 and trips its guard at t=0
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("grid.n = 32\nparams.b0_floor = 10.0\n"
+    cfg_file.write_text("grid.n = 32\nscenario.offset = 0\n"
                         "time.t_end = 0.1\n"
                         f"output.dir = {tmp_path / 'g'}\n")
     code = main(["run-reduced", "--config", str(cfg_file)])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "|B_0|" in capsys.readouterr().err
 
 
 def test_compare_exit_codes_by_tolerance(tmp_path, capsys):

@@ -1,0 +1,91 @@
+"""Byte identity of the command outputs, pinned by SHA-256 digests.
+
+Each entry of digests.json maps a ``kgmlab`` command line to the digest of
+what it writes: for a run, every file of its output directory but
+config.txt (which echoes the directory), names and bytes in name order;
+for a carleman demo, its stdout.  A one-ulp change to any snapshot array
+changes its run's digest.
+
+The digests hold for the numpy and scipy versions recorded beside them;
+on other versions the test skips and says why.  A change that moves
+numbers on purpose rewrites them in the same commit, with
+
+    PYTHONPATH=src python tests/test_digests.py
+
+and states which outputs moved, and by how much, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from kgmlab.cli import main
+
+DIGESTS = Path(__file__).with_name("digests.json")
+
+# The matter packet's runs write every step.  The free-field scenarios are
+# closed-form or static, and their every-8th snapshots carry any move on;
+# the lotka demo's default horizon spends 0.5 s on its oracle alone.  All
+# together they take about 0.7 s.
+COMMANDS = [
+    "run-full --n 256",
+    "run-reduced --n 256",
+    *(f"run-{flavor} --n 256 --scenario {scenario} --every 8"
+      for scenario in ("pure-gauge-wave", "vacuum-offset")
+      for flavor in ("full", "reduced")),
+    "carleman riccati",
+    "carleman rotation",
+    "carleman lotka --t-end 0.1",
+    "carleman reduced-tiny",
+]
+
+
+def versions() -> dict[str, str]:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def output_digest(command: str) -> str:
+    """SHA-256 hex digest of what command writes; see the module docstring."""
+    argv = command.split()
+    if argv[0] == "carleman":
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert main(argv) == 0, f"{command} failed"
+        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", tmp]) == 0, f"{command} failed"
+        for path in sorted(Path(tmp).iterdir()):
+            if path.name != "config.txt":
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict[str, str]:
+    data = json.loads(DIGESTS.read_text())
+    want = {name: data[name] for name in versions()}
+    if want != versions():
+        pytest.skip(f"digests were recorded with {want}; this is {versions()}")
+    return data["outputs"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_bytes_match_recorded_digest(command, recorded):
+    assert output_digest(command) == recorded[command], (
+        f"the output of `kgmlab {command}` moved; if on purpose, rewrite the "
+        "digests with `PYTHONPATH=src python tests/test_digests.py`")
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {**versions(), "outputs": {c: output_digest(c) for c in COMMANDS}}, indent=1) + "\n")
+    print(f"wrote {len(COMMANDS)} digests to {DIGESTS}")

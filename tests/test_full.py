@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.diagnostics import snapshot_extras
 from kgmlab.full import accel_full, run_full, step_full
-from kgmlab.kernel import FullState, Grid1D, GuardViolation, NonFinite, Params, comb_dt
+from kgmlab.kernel import B0_FLOOR, FullState, Grid1D, GuardViolation, NonFinite, Params, comb_dt
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -156,7 +156,7 @@ def test_step_guard_violation_below_floor():
     p = Params()
     s = FullState(
         t=0.0,
-        B=np.full((4, g.n), 0.0) + np.vstack([np.full(g.n, 0.5 * p.b0_floor), np.zeros((3, g.n))]),
+        B=np.full((4, g.n), 0.0) + np.vstack([np.full(g.n, 0.5 * B0_FLOOR), np.zeros((3, g.n))]),
         Bdot=np.zeros((4, g.n)),
         grid=g,
         charge_mean=0.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -32,12 +34,11 @@ def test_grid_rejects_non_power_of_two():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Params(e=0.0)
-    with pytest.raises(ValueError):
-        Params(b0_floor=0.0)
-    with pytest.raises(ValueError):
-        Params(phi_floor=-1.0)
+    # the couplings are the only fields, and each refuses what it cannot use
+    assert [f.name for f in fields(Params)] == ["e", "m"]
+    for bad in (dict(e=0.0), dict(e=float("nan")), dict(m=float("inf"))):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}: "):
+            Params(**bad)
 
 
 def test_deriv_x_spike_column():
@@ -240,8 +241,9 @@ def test_b0_floor_guard_reports_location():
     B = np.ones((4, g.n))
     B[0, 3] = 1e-9
     s = ReducedState(t=0.25, B=B, Bdot=np.zeros((4, g.n)), grid=g)
-    with pytest.raises(GuardViolation, match="index 3"):
-        s.check_b0_floor(Params())
+    with pytest.raises(GuardViolation, match="index 3, t=0.25"):
+        s.check_b0_floor()
+    s.check_b0_floor(1e-9)  # a floor of exactly min |B_0| passes
 
 
 def test_full_state_round_trip_to_reduced():

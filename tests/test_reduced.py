@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from kgmlab.diagnostics import compare, snapshot_extras
 from kgmlab.full import run_full, step_full
 from kgmlab.kernel import (
+    B0_FLOOR,
     Grid1D,
     GuardViolation,
     NonFinite,
@@ -92,7 +93,7 @@ def test_reconstruct_phi_guards_b0_floor():
     g = Grid1D(n=32)
     p = Params()
     B = np.zeros((4, g.n))
-    B[0] = 0.5 * p.b0_floor
+    B[0] = 0.5 * B0_FLOOR
     with pytest.raises(GuardViolation):
         reconstruct_phi(em_state(g, B=B), p)
 
@@ -117,9 +118,9 @@ def test_reconstruct_phi_dot_trivial_cases():
     B[0] = 2.0
     s = em_state(g, B=B)
     Phi = np.zeros(g.n)
-    assert np.max(np.abs(reconstruct_phi_dot(s, Phi, p))) == 0.0  # Phi == 0
+    assert np.max(np.abs(reconstruct_phi_dot(s, Phi))) == 0.0  # Phi == 0
     Phi = np.full(g.n, 0.3)  # static uniform slice: every term differentiates
-    assert np.max(np.abs(reconstruct_phi_dot(s, Phi, p))) == 0.0
+    assert np.max(np.abs(reconstruct_phi_dot(s, Phi))) == 0.0
 
 
 def test_reconstruct_phi_dot_matches_full_snapshots():
@@ -132,7 +133,7 @@ def test_reconstruct_phi_dot_matches_full_snapshots():
     for st in traj.states:
         r = st.to_reduced()
         Phi = reconstruct_phi(r, p)
-        Phidot = reconstruct_phi_dot(r, Phi, p)
+        Phidot = reconstruct_phi_dot(r, Phi)
         worst = max(worst, float(np.max(np.abs(Phidot - 2.0 * st.phi * st.phidot))))
     assert worst <= 0.1 * g.h**2
 
@@ -374,7 +375,7 @@ def test_reconstruction_consistency_order():
         for k in range(1, len(traj.states) - 1):
             st = traj.states[k]
             dPhi = (Phis[k + 1] - Phis[k - 1]) / (traj.states[k + 1].t - traj.states[k - 1].t)
-            Phidot = reconstruct_phi_dot(st, Phis[k], p)
+            Phidot = reconstruct_phi_dot(st, Phis[k])
             worst = max(worst, float(np.max(np.abs(dPhi - Phidot))))
         errs.append(worst)
     ratio = errs[0] / errs[1]

@@ -21,8 +21,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab import scenarios
 from kgmlab.cli import main
-from kgmlab.full import step_full
-from kgmlab.kernel import Grid1D, GuardViolation, Params, SimulationError, deriv_x
+from kgmlab.diagnostics import conservation_defects, observed_order
+from kgmlab.full import run_full, step_full
+from kgmlab.kernel import (
+    B0_FLOOR,
+    Grid1D,
+    GuardViolation,
+    Params,
+    SimulationError,
+    comb_dt,
+    deriv_x,
+)
+from kgmlab.reduced import PHI_FLOOR
 from kgmlab.scenarios import (
     ScenarioSpec,
     SingularOperator,
@@ -137,6 +147,21 @@ def test_rate_solve_gauge_wave_closed_form():
     assert err > 0.0
 
 
+@pytest.mark.parametrize("power", [-530, 520])
+def test_rate_solve_is_scale_free(power):
+    # the balance is homogeneous of degree 2 in (phi, phidot): scaling both
+    # by a power of two must leave every bit of the rate alone, also where
+    # phi^2 would be subnormal (2^-530) or overflow (2^520) unscaled
+    g = Grid1D(n=128)
+    p = Params()
+    s = make_scenario(default_scenario("matter-packet"), p, g)
+    phidot = 0.2 * np.sin(g.x()) * s.phi
+    want = solve_gauss_rate(s.phi, phidot, s.B[0], s.B[1], p, g)
+    got = solve_gauss_rate(np.ldexp(s.phi, power), np.ldexp(phidot, power),
+                           s.B[0], s.B[1], p, g)
+    assert_array_equal(got, want)
+
+
 def test_make_scenario_vacuum_offset_exact():
     g = Grid1D(n=32)
     p = Params()
@@ -169,8 +194,8 @@ def test_make_scenario_matter_packet_invariants():
     p = Params()
     s = make_scenario(default_scenario("matter-packet"), p, g)
 
-    assert np.min(s.phi**2) > p.phi_floor  # pedestal keeps the closure healthy
-    assert np.min(np.abs(s.B[0])) >= 2.0 * p.b0_floor
+    assert np.min(s.phi**2) > PHI_FLOOR  # pedestal keeps the closure healthy
+    assert np.min(np.abs(s.B[0])) >= 2.0 * B0_FLOOR
     assert s.charge_mean > 0.0
 
     scale = max(np.max(np.abs(2 * p.e**2 * s.B[0] * s.phi**2)), 1e-300)
@@ -406,6 +431,36 @@ def test_faint_packet_steps_b0_as_a_brighter_one_does(n, amplitude):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert b0_move(amplitude) == pytest.approx(b0_move(1e-6), rel=0.02)
+
+
+# Phi spans 2.4e-4 to 2.0e-3 at n = 256: most points sit below the closure's
+# intensity floor, which the full system's B_0 rate must not see
+FAINT_PACKET = ScenarioSpec("matter-packet", amplitude=0.03, width=1.0)
+
+
+def test_faint_packet_rate_holds_the_balance():
+    # on the initial slice and on a stepped one, where phidot is nonzero.  A
+    # rate floored to D(B_1) below Phi = 1e-3 missed the balance by 3.2e-6
+    # on the initial slice, the size of its terms.
+    g = Grid1D(n=256)
+    p = Params()
+    s0 = make_scenario(FAINT_PACKET, p, g)
+    for s in (s0, step_full(s0, comb_dt(1.0, g), p)):
+        scale = float(np.max(np.abs(2 * p.e**2 * s.B[0] * s.phi**2)))
+        assert np.max(np.abs(rate_balance_residual(s, p))) <= 1e-13 * scale
+
+
+def test_faint_packet_charge_balance_converges():
+    # the charge-balance residual of the faint packet is second order
+    # (measured 5.0e-7, 1.3e-7, 3.3e-8 at t = 0.5); with the floored rate
+    # it stalled at 2.9e-4 on every grid
+    p = Params()
+    levels = []
+    for n in (128, 256, 512):
+        g = Grid1D(n=n)
+        traj = run_full(make_scenario(FAINT_PACKET, p, g), comb_dt(0.5, g), 0.5, p)
+        levels.append((g.h, conservation_defects(traj, p)[1]))
+    assert observed_order(levels) >= 1.7
 
 
 def test_faintest_packet_runs_full(tmp_path):
