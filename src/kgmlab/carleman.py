@@ -468,14 +468,13 @@ def linear_system(rate: complex) -> PolySystem:
     return PolySystem(k=1, terms=(((complex(rate), (0,)),),), names=("x",))
 
 
-def lotka_system(growth: float = 0.5, predation: float = 1.0,
-                 decay: float = 0.5, conversion: float = 1.0) -> PolySystem:
+def lotka_system() -> PolySystem:
     """Two-species predator-prey flow (quadratic couplings)."""
     return PolySystem(
         k=2,
         terms=(
-            ((growth, (0,)), (-predation, (0, 1))),
-            ((-decay, (1,)), (conversion, (0, 1))),
+            ((0.5, (0,)), (-1.0, (0, 1))),
+            ((-0.5, (1,)), (1.0, (0, 1))),
         ),
         names=("prey", "predator"),
     )

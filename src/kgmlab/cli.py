@@ -216,7 +216,7 @@ def _demo_rotation(args: argparse.Namespace, x0: np.ndarray) -> int:
 
 def _demo_lotka(args: argparse.Namespace, _: None) -> int:
     sys_, x0 = lotka_system(), np.array([0.4, 0.2])
-    oracle = classical_flow(sys_, x0.astype(complex), args.t_end, 1.0e-4).real
+    oracle = classical_flow(sys_, x0.astype(complex), args.t_end, 1.0e-3).real
     return _toy_demo(args, f"lotka: cutoff={args.cutoff} t={args.t_end:g} "
                            f"x0=({x0[0]:g}, {x0[1]:g})", sys_, x0, "oracle", oracle)
 

@@ -265,17 +265,12 @@ class FullState(ReducedState):
     def to_reduced(self) -> ReducedState:
         """Forget the scalar field; the reduced system must recover it.
 
-        The charge mean is recomputed from the fields being dropped, since
-        the intensity reconstruction can only ever see the zero-mean part
-        of the source through spatial stencils.
+        The charge mean is carried as it is: the intensity reconstruction
+        sees the source only through spatial stencils, which drop its grid
+        mean, so this one number is all the reduced state keeps of it.
         """
-        return ReducedState(
-            t=self.t,
-            B=self.B.copy(),
-            Bdot=self.Bdot.copy(),
-            grid=self.grid,
-            charge_mean=float(np.mean(self.B[0] * self.phi * self.phi)),
-        )
+        return ReducedState(t=self.t, B=self.B.copy(), Bdot=self.Bdot.copy(),
+                            grid=self.grid, charge_mean=self.charge_mean)
 
 
 @dataclass
@@ -316,6 +311,8 @@ def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array
     rhs(t, *y) returns the rates of y as a tuple of the same length.  Every
     integrator in the package steps through here, so they all share one
     operation order: stages a + 0.5*dt*k, update a + (dt/6)*(k1+2k2+2k3+k4).
+    The first call gets the arrays of y themselves, so rhs can tell stage 1
+    by identity.
 
     Each stage and the update are formed in place in arrays allocated here.
     A rate may be an array that rhs was given (the B rate of the reduced

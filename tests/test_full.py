@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from kgmlab import scenarios
 from kgmlab.diagnostics import snapshot_extras
 from kgmlab.full import accel_full, run_full, step_full
 from kgmlab.kernel import B0_FLOOR, FullState, Grid1D, GuardViolation, NonFinite, Params, comb_dt
@@ -151,6 +152,29 @@ def test_step_leaves_its_input_unmodified(scenario):
         assert not np.shares_memory(getattr(out, name), getattr(s, name))
 
 
+def test_step_matter_solves_each_slice_once(monkeypatch):
+    # stage 1 is the incoming state, already solved: stages 2-4 and the
+    # result make 4 constraint and 4 rate solves per step
+    g = Grid1D(n=64)
+    p = Params()
+    s = make_scenario(default_scenario("matter-packet"), p, g)
+    calls = {"solve_gauss_constraint": 0, "solve_gauss_rate": 0}
+
+    def counted(name):
+        solve = getattr(scenarios, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenarios, name, counted(name))
+    for _ in range(2):
+        s = step_full(s, 0.5 * g.h, p)
+    assert calls == {"solve_gauss_constraint": 8, "solve_gauss_rate": 8}
+
+
 def test_step_guard_violation_below_floor():
     g = Grid1D(n=32)
     p = Params()
@@ -204,8 +228,9 @@ def test_run_gauge_wave_full_period():
 
 def test_run_matter_packet_conservation():
     # one matter run checks three books at once: canonical energy drift
-    # (measured 0.019 h^2), the emitted slice-equation residual, and the
-    # conserved charge mean (both near roundoff by construction)
+    # (measured 0.019 h^2), the emitted slice-equation residual (near
+    # roundoff by construction), and the charge mean, which every step
+    # carries bit for bit, as does the reduced view of each snapshot
     g = Grid1D(n=128)
     p = Params()
     s0 = make_scenario(default_scenario("matter-packet"), p, g)
@@ -221,7 +246,8 @@ def test_run_matter_packet_conservation():
     assert max(ex["constraint_residual"] for ex in extras) <= 1e-9 * scale
 
     charges = [ex["charge_mean"] for ex in extras]
-    assert max(abs(q - charges[0]) for q in charges) <= 1e-10
+    assert charges == [s0.charge_mean] * len(traj)
+    assert all(s.to_reduced().charge_mean == s0.charge_mean for s in traj.states)
 
 
 def test_run_attaches_failing_time():

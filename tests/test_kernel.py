@@ -254,11 +254,13 @@ def test_full_state_round_trip_to_reduced():
         B=rng.standard_normal((4, g.n)),
         Bdot=rng.standard_normal((4, g.n)),
         grid=g,
+        charge_mean=0.25,
         phi=rng.standard_normal(g.n),
         phidot=rng.standard_normal(g.n),
     )
     r = s.to_reduced()
     assert r.t == s.t
+    assert r.charge_mean == 0.25  # carried, not formed from the dropped phi
     assert_array_equal(r.B, s.B)
     r.B[0, 0] = 99.0  # detached copy
     assert s.B[0, 0] != 99.0
