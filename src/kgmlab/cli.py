@@ -142,6 +142,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ConfigError(f"--levels: {err}") from err
     if len(grids) < 2:
         raise ConfigError("--levels needs at least two grid sizes")
+    sizes = [g.n for g in grids]
+    for n in sizes:
+        if sizes.count(n) > 1:
+            # a repeated level would run twice and leave every order undefined
+            raise ConfigError(f"--levels: grid size {n} appears more than once")
 
     # each level runs on its own comb step, which never exceeds 0.5 h
     results = [ladder_level(replace(cfg, grid=g, dt=0.0))[0] for g in grids]

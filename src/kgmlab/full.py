@@ -61,12 +61,19 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     """
     g = s.grid
     phi_sq = s.phi * s.phi
-    bsq = lorentz_dot(s.B, s.B)
-    phi_ddot = deriv_xx(s.phi, g) + (p.e**2 * bsq - p.m**2) * s.phi
+    # (e^2 B^mu B_mu - m^2) phi, formed in place
+    mass = lorentz_dot(s.B, s.B)
+    mass *= p.e**2
+    mass -= p.m**2
+    mass *= s.phi
+    phi_ddot = deriv_xx(s.phi, g)
+    phi_ddot += mass
 
-    d_b1 = deriv_x(s.B[1], g)
-    dd = deriv_x(np.stack([d_b1, s.Bdot[0] - d_b1]), g)
-    return phi_ddot, spatial_accel(s.B, dd, phi_sq, p, g)
+    # [D B_1, div B], with div B = dB_0/dt - D B_1
+    first = np.empty((2, g.n))
+    d_b1 = deriv_x(s.B[1], g, out=first[0])
+    np.subtract(s.Bdot[0], d_b1, out=first[1])
+    return phi_ddot, spatial_accel(s.B, deriv_x(first, g), phi_sq, p, g)
 
 
 # ---------------------------------------------------------------------------

@@ -102,41 +102,69 @@ B0_FLOOR = 1.0e-6
 #
 # They are written as slice stencils: the interior is one whole-slice
 # operation and the two periodic wrap points, [..., 0] and [..., -1], are
-# filled separately, so no shifted copy of the input is ever allocated.
-# Each output point is formed in the same IEEE operation order as the
-# periodic-shift definition, (f[j+1] - f[j-1]) / (2h) and
-# ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the results are bit-identical to
-# it, row by row, including at n = 2 and n = 4 where the two stencil legs
-# land on the same points.
+# each one ufunc call into their place, so no shifted copy of the input and
+# no temporary is ever allocated.  Each output point is formed in the same
+# IEEE operation order as the periodic-shift definition,
+# (f[j+1] - f[j-1]) / (2h) and ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the
+# results are bit-identical to it, row by row, including at n = 2 and n = 4
+# where the two stencil legs land on the same points.
+#
+# A floating input keeps its dtype (np.longdouble in, np.longdouble out);
+# any other input is cast to float64 first.
+#
+# With out= a stencil writes into the caller's array, typically some rows
+# of a larger block, and returns it.  out must have f's shape and dtype
+# (after the cast) and share no memory with f: every output point reads
+# its neighbours, so an overlapping out would overwrite input it has yet
+# to read.  A violation raises ValueError.
 
 
-def deriv_x(f: Array, g: Grid1D) -> Array:
+def _floating(f: Array) -> Array:
+    f = np.asarray(f)
+    return f if f.dtype.kind == "f" else f.astype(float)
+
+
+def _check_out(f: Array, out: Array) -> None:
+    if out.shape != f.shape or out.dtype != f.dtype:
+        raise ValueError(f"out: must have shape {f.shape} and dtype {f.dtype}, "
+                         f"got {out.shape} and {out.dtype}")
+    if np.shares_memory(out, f):
+        raise ValueError("out: must not share memory with the input, "
+                         "whose neighbouring points the stencil reads")
+
+
+def deriv_x(f: Array, g: Grid1D, out: Array | None = None) -> Array:
     """Centered first derivative on the periodic grid, along the last axis.
 
     Second-order accurate; antisymmetric, so each output row always sums
     to zero over the grid.  Exact for constants everywhere and for linear
     functions away from the periodic wrap.
     """
-    f = np.asarray(f, dtype=float)
-    out = np.empty_like(f)
+    f = _floating(f)
+    if out is None:
+        out = np.empty_like(f)
+    else:
+        _check_out(f, out)
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-    out[..., 0] = f[..., 1] - f[..., -1]
-    out[..., -1] = f[..., 0] - f[..., -2]
+    np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
+    np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
     out /= 2.0 * g.h
     return out
 
 
-def deriv_xx(f: Array, g: Grid1D) -> Array:
+def deriv_xx(f: Array, g: Grid1D, out: Array | None = None) -> Array:
     """Centered second derivative (compact 3-point stencil), periodic, along
     the last axis."""
-    f = np.asarray(f, dtype=float)
-    out = np.multiply(f, 2.0)
+    f = _floating(f)
+    if out is not None:
+        _check_out(f, out)
+    out = np.multiply(f, 2.0, out=out)
     # f[j+1] - 2 f[j]; the last point still holds 2 f[-1] for its wrap
     np.subtract(f[..., 1:], out[..., :-1], out=out[..., :-1])
-    out[..., -1] = f[..., 0] - out[..., -1]
+    np.subtract(f[..., 0], out[..., -1], out=out[..., -1])
     # ... + f[j-1]
     out[..., 1:] += f[..., :-1]
-    out[..., 0] += f[..., -1]
+    np.add(out[..., 0], f[..., -1], out=out[..., 0])
     out /= g.h * g.h
     return out
 
@@ -145,12 +173,19 @@ def lorentz_dot(u: Array, v: Array) -> Array:
     """Invariant contraction of two sets of covariant 4-component fields.
 
     Inputs are stacked covariant components of shape (4, n); the result is
-    u^mu v_mu = u_0 v_0 - u_1 v_1 - u_2 v_2 - u_3 v_3 pointwise.
+    u^mu v_mu = u_0 v_0 - u_1 v_1 - u_2 v_2 - u_3 v_3 pointwise, each
+    spatial product formed in one scratch row.
     """
-    return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
+    out = u[0] * v[0]
+    w = np.multiply(u[1], v[1])
+    out -= w
+    out -= np.multiply(u[2], v[2], out=w)
+    out -= np.multiply(u[3], v[3], out=w)
+    return out
 
 
-def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D) -> Array:
+def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
+                  out: Array | None = None) -> Array:
     """Spatial rows (3, n) of box(B_i) - d_i(div B) = -2 e^2 B_i Phi, the
     vector-field equation both integrators share:
 
@@ -161,6 +196,9 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D) -> Arra
     deriv_x call on [D B_1, div B] with div B = dB_0/dt - D B_1, and the
     intensity Phi = phi^2, carried (full) or reconstructed (reduced).
 
+    With out=, a (3, n) float64 array such as rows 1..3 of the caller's
+    (4, n) block, the rows are written there and out is returned.
+
     B_1's second derivative is the composed stencil D(D .), not the compact
     laplacian: the same composition appears inside D(div B), in the
     constraint solve and in the intensity reconstruction, and one discrete
@@ -169,9 +207,10 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D) -> Arra
     B_0 sector).  The transverse rows have no such pairing partner and keep
     the compact stencil.
     """
-    out = np.empty((3, g.n))
+    if out is None:
+        out = np.empty((3, g.n))
     np.add(dd[0], dd[1], out=out[0])
-    out[1:] = deriv_xx(B[2:], g)
+    deriv_xx(B[2:], g, out=out[1:])
     screen = np.multiply(2.0 * p.e**2, B[1:])
     screen *= Phi
     out -= screen

@@ -154,8 +154,13 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
 
     The stencils run by dependency level, each call taking every row that
     is ready: D of [B_0, B_1] and of dB_1/dt, then D of [D B_0, D B_1,
-    div B], then D Phi, D Phidot and the Laplacians.  Products go through
-    one scratch row, in the operation order of the formulas below.
+    div B], then D Phi, D Phidot and the Laplacians.  Stencils and the
+    spatial rows write straight into their rows of `first` and of the
+    result; products go through one scratch row, in the operation order of
+    the formulas below.
+
+    The two quotients by Phi take numpy's masked divide only when some
+    point is below PHI_FLOOR; otherwise a plain divide gives the same bits.
     """
     g = s.grid
     e2 = p.e**2
@@ -165,7 +170,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     b0_safe = _guarded_b0(s)
     # first = [D B_0, D B_1, div B], second = D of each row
     first = np.empty((3, g.n))
-    first[:2] = deriv_x(s.B[:2], g)
+    deriv_x(s.B[:2], g, out=first[:2])
     div_b = np.subtract(bd0, first[1], out=first[2])
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)
@@ -176,18 +181,21 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     dPhidot = deriv_x(Phidot, g)
 
     acc = np.empty((4, g.n))
-    acc[1:] = spatial_accel(s.B, second[1:], Phi, p, g)
+    spatial_accel(s.B, second[1:], Phi, p, g, out=acc[1:])
 
     # Matter wave equation in Phi.  The quotient term is bounded on the
     # solution manifold (numerator is O(Phi) near zeros of Phi), so below
     # the floor it is replaced by its limiting value 0.
     low = below_phi_floor(Phi)
-    high = ~low
+    any_low = bool(low.any())
     w = np.multiply(dPhi, dPhi)
-    numer = np.multiply(Phidot, Phidot)
-    numer -= w
-    quot = np.zeros_like(Phi)
-    np.divide(numer, np.multiply(2.0, Phi, out=w), out=quot, where=high)
+    quot = np.multiply(Phidot, Phidot)
+    quot -= w
+    np.multiply(2.0, Phi, out=w)
+    if any_low:
+        quot = np.divide(quot, w, out=np.zeros_like(Phi), where=~low)
+    else:
+        quot /= w
     # 2 (e^2 B^mu B_mu - m^2) Phi
     mass = lorentz_dot(s.B, s.B)
     mass *= e2
@@ -208,11 +216,13 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     bracket -= np.multiply(bd1, dPhi, out=w)
     bracket += np.multiply(b0, Phiddot, out=w)
     bracket -= np.multiply(b1, dPhidot, out=w)
-    closure = np.zeros_like(Phi)
-    np.divide(bracket, Phi, out=closure, where=high)
+    if any_low:
+        closure = np.divide(bracket, Phi, out=np.zeros_like(Phi), where=~low)
+    else:
+        closure = np.divide(bracket, Phi, out=w)
     np.subtract(d_bd1, closure, out=acc[0])
 
-    if np.any(low):
+    if any_low:
         # Divergence-freezing fallback is only admissible where the dropped
         # term is small next to the kept one; otherwise the data is outside
         # the regime the closure can represent.

@@ -29,16 +29,25 @@ import kgmlab.kernel
 from kgmlab.scenarios import SingularOperator
 
 
-def roll_deriv_x(f, g):
+def _into(d, out):
+    """d, or d copied into out when the caller passed one."""
+    if out is None:
+        return d
+    out[...] = d
+    return out
+
+
+def roll_deriv_x(f, g, out=None):
     """(f[j+1] - f[j-1]) / (2h) along the last axis, built from two
     shifted copies."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * g.h)
+    return _into((np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * g.h), out)
 
 
-def roll_deriv_xx(f, g):
+def roll_deriv_xx(f, g, out=None):
     """((f[j+1] - 2 f[j]) + f[j-1]) / (h*h) along the last axis, built from
     two shifted copies."""
-    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (g.h * g.h)
+    return _into((np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (g.h * g.h),
+                 out)
 
 
 @pytest.fixture

@@ -408,6 +408,17 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert (tmp_path / "v" / "convergence.csv").read_text().startswith("n,h,")
 
 
+@pytest.mark.parametrize("levels", ["64,64", "32,64,32"])
+def test_convergence_refuses_a_repeated_grid_size(tmp_path, capsys, levels):
+    # the same level twice leaves every observed order undefined
+    assert main(["convergence", "--levels", levels, "--t-end", "0.1",
+                 "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --levels: grid size " in err
+    assert levels.split(",")[-1] in err
+    assert not (tmp_path / "v").exists()
+
+
 def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
     # the energy drift and the charge-balance residual read one intensity
     calls = []

@@ -16,7 +16,9 @@ numbers on purpose rewrites them in the same commit, with
 
     PYTHONPATH=src python tests/test_digests.py
 
-and states which outputs moved, and by how much, in CHANGES.md.
+which prints each command whose digest moved (old -> new, the first 12
+hex digits) and how many did not; the commit states which outputs moved,
+and by how much, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from kgmlab.cli import main
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
-# The matter packet's runs write every step.  The free-field scenarios are
-# closed-form or static, and their every-8th snapshots carry any move on.
-# Without check, they take about 0.7 s together.
+# The matter packet's runs write every step.  The n = 4096 reduced run is
+# the benchmark's grid size, over its first 66 steps.  The free-field
+# scenarios are closed-form or static, and their every-8th snapshots carry
+# any move on.  Without check, they take about 1 s together.
 COMMANDS = [
     "run-full --n 256",
     "run-reduced --n 256",
+    "run-reduced --n 4096 --t-end 0.05 --every 16",
     *(f"run-{flavor} --n 256 --scenario {scenario} --every 8"
       for scenario in ("pure-gauge-wave", "vacuum-offset")
       for flavor in ("full", "reduced")),
@@ -90,6 +94,11 @@ def test_output_bytes_match_recorded_digest(command, recorded):
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(
-        {**versions(), "outputs": {c: output_digest(c) for c in COMMANDS}}, indent=1) + "\n")
-    print(f"wrote {len(COMMANDS)} digests to {DIGESTS}")
+    old = json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists() else {}
+    new = {c: output_digest(c) for c in COMMANDS}
+    DIGESTS.write_text(json.dumps({**versions(), "outputs": new}, indent=1) + "\n")
+    moved = [c for c in COMMANDS if old.get(c) != new[c]]
+    for c in moved:
+        print(f"moved: {c}: {old.get(c, 'none')[:12]} -> {new[c][:12]}")
+    print(f"wrote {len(COMMANDS)} digests to {DIGESTS}; "
+          f"{len(COMMANDS) - len(moved)} unchanged")

@@ -118,10 +118,19 @@ def test_slice_stencils_bit_identical_to_periodic_shift(n, roll_stencils):
         assert_array_equal(op(list(floats), g), ref(floats, g))
 
 
+LAYOUTS = ["stack", "head", "tail", "strided", "transposed"]
+
+
+def _layout(big: np.ndarray, m: int, layout: str) -> np.ndarray:
+    """m rows of big as a contiguous copy, a leading or trailing row slice,
+    every other row, or a transposed stack whose rows are strided."""
+    return {"stack": big[:m].copy(), "head": big[:m], "tail": big[-m:],
+            "strided": big[::2][:m], "transposed": np.ascontiguousarray(big[:m].T).T}[layout]
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(log_n=st.integers(1, 12), m=st.integers(1, 4),
-       layout=st.sampled_from(["stack", "head", "tail", "strided", "transposed"]),
-       seed=st.integers(0, 2**32 - 1))
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**32 - 1))
 def test_stencils_on_row_stacks_equal_row_by_row_calls(log_n, m, layout, seed):
     # one call on an (m, n) stack must give each row's 1-D result bit for
     # bit, on any view: B[:2] and B[2:] style row slices, every other row,
@@ -130,8 +139,7 @@ def test_stencils_on_row_stacks_equal_row_by_row_calls(log_n, m, layout, seed):
     g = Grid1D(n=n, length=3.0)
     rng = np.random.default_rng(seed)
     big = rng.standard_normal((2 * m + 2, n)) * 10.0 ** rng.uniform(-8, 8, (2 * m + 2, n))
-    stack = {"stack": big[:m].copy(), "head": big[:m], "tail": big[-m:],
-             "strided": big[::2][:m], "transposed": np.ascontiguousarray(big[:m].T).T}[layout]
+    stack = _layout(big, m, layout)
     before = big.copy()
     for op in (deriv_x, deriv_xx):
         out = op(stack, g)
@@ -139,6 +147,59 @@ def test_stencils_on_row_stacks_equal_row_by_row_calls(log_n, m, layout, seed):
         for row, got in zip(stack, out):
             assert_array_equal(got, op(row.copy(), g))
     assert_array_equal(big, before)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(log_n=st.integers(1, 12), m=st.integers(1, 4), layout=st.sampled_from(LAYOUTS),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencils_into_a_row_slice_equal_the_allocating_call(log_n, m, layout, seed):
+    # out= fills every point of the rows it is given, with the allocating
+    # call's bytes, and writes nothing else of the block around it
+    n = 2**log_n
+    g = Grid1D(n=n, length=3.0)
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((2 * m + 2, n)) * 10.0 ** rng.uniform(-8, 8, (2 * m + 2, n))
+    f = _layout(big, m, layout)
+    before = big.copy()
+    for op in (deriv_x, deriv_xx):
+        block = np.full((m + 2, n), np.nan)
+        rows = block[1:-1]
+        assert op(f, g, out=rows) is rows
+        assert rows.tobytes() == op(f, g).tobytes()
+        assert np.isnan(block[[0, -1]]).all()
+    assert_array_equal(big, before)
+
+
+def test_stencils_refuse_an_out_that_overlaps_or_mismatches_the_input():
+    # each output point reads its neighbours, so an out aliasing f would
+    # overwrite input the stencil has yet to read
+    g = Grid1D(n=16)
+    block = np.random.default_rng(3).standard_normal((3, g.n))
+    for op in (deriv_x, deriv_xx):
+        for f, out in ((block, block), (block[:2], block[1:]), (block[0], block[0, ::-1])):
+            with pytest.raises(ValueError, match="^out: must not share memory"):
+                op(f, g, out=out)
+        with pytest.raises(ValueError, match="^out: must have shape"):
+            op(block[:2], g, out=np.empty((3, g.n)))
+        with pytest.raises(ValueError, match="^out: must have shape"):
+            op(block[:2], g, out=np.empty((2, g.n), dtype=np.float32))
+        # rows of one block that do not overlap are fine
+        assert_array_equal(op(block[:1], g, out=block[2:]), op(block[:1], g))
+
+
+@pytest.mark.parametrize("n", [2, 16, 4096])
+def test_stencils_keep_a_floating_dtype(n):
+    # np.longdouble in, np.longdouble out, agreeing with float64 to 1e-15
+    # relative; integer input is still cast to float64
+    g = Grid1D(n=n, length=3.0)
+    f = np.random.default_rng(n).standard_normal((2, n))
+    for op in (deriv_x, deriv_xx):
+        wide = op(f.astype(np.longdouble), g)
+        assert wide.dtype == np.longdouble
+        ref = op(f, g)
+        assert ref.dtype == np.float64
+        assert float(np.max(np.abs(wide - ref))) <= 1e-15 * float(np.max(np.abs(ref)))
+        assert op(np.arange(n), g).dtype == np.float64
 
 
 def test_rk4_writes_neither_state_nor_rates():
