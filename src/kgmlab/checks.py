@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import tempfile
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = ["CRITERIA"]
 # shared matter-packet refinement ladder
 # ---------------------------------------------------------------------------
 
-_LADDER = (128, 256, 512)
 _T_END = 1.0
 
 
@@ -69,7 +68,7 @@ def _ladder_level(n: int) -> dict[str, float]:
 
 
 def _order(metric: str) -> float:
-    pairs = [(_ladder_level(n)["h"], _ladder_level(n)[metric]) for n in _LADDER]
+    pairs = [(_ladder_level(n)["h"], _ladder_level(n)[metric]) for n in run.LADDER_SIZES]
     return observed_order(pairs)
 
 
@@ -78,34 +77,29 @@ def _order(metric: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_equivalence() -> tuple[bool, str]:
-    err_a = _ladder_level(256)["equivalence"]
-    err_b = _ladder_level(512)["equivalence"]
-    ratio = err_a / err_b
-    ok = err_a <= 1.0e-3 and 2.6 <= ratio <= 5.4
-    return ok, (f"n=256 max rel Linf {err_a:.3e} (need <= 1e-3); "
+def _shrinks(metric: str, label: str, bound: float, shown: str) -> tuple[bool, str]:
+    """The metric at n = 256 is at most bound (printed as shown) and shrinks
+    2.6-5.4x from n = 256 to n = 512."""
+    coarse = _ladder_level(256)[metric]
+    ratio = coarse / _ladder_level(512)[metric]
+    ok = coarse <= bound and 2.6 <= ratio <= 5.4
+    return ok, (f"n=256 {label} {coarse:.3e} (need <= {shown}); "
                 f"256->512 shrink {ratio:.2f} (need [2.6, 5.4])")
+
+
+def _orders_both(metric: str, label: str) -> tuple[bool, str]:
+    """The metric's observed orders on the full and the reduced runs are
+    both at least 1.7."""
+    o_full = _order(f"{metric}_full")
+    o_red = _order(f"{metric}_reduced")
+    ok = o_full >= 1.7 and o_red >= 1.7
+    return ok, (f"{label} orders: full {o_full:.3f}, "
+                f"reduced {o_red:.3f} (need >= 1.7)")
 
 
 def _check_equivalence_order() -> tuple[bool, str]:
     order = _order("equivalence")
     return abs(order - 2.0) <= 0.3, f"observed order {order:.3f} (need 2.0 +- 0.3)"
-
-
-def _check_current_conservation() -> tuple[bool, str]:
-    o_full = _order("current_full")
-    o_red = _order("current_reduced")
-    ok = o_full >= 1.7 and o_red >= 1.7
-    return ok, (f"charge-balance residual orders: full {o_full:.3f}, "
-                f"reduced {o_red:.3f} (need >= 1.7)")
-
-
-def _check_energy_drift() -> tuple[bool, str]:
-    o_full = _order("energy_full")
-    o_red = _order("energy_reduced")
-    ok = o_full >= 1.7 and o_red >= 1.7
-    return ok, (f"relative energy drift orders: full {o_full:.3f}, "
-                f"reduced {o_red:.3f} (need >= 1.7)")
 
 
 def _check_gauge_wave_regression() -> tuple[bool, str]:
@@ -128,19 +122,6 @@ def _check_gauge_wave_regression() -> tuple[bool, str]:
     return ok, (f"period return distance {dist:.3e} (need <= {bound:.3e}); "
                 f"peak reconstructed intensity {phi_peak:.3e} "
                 f"(need <= {phi_bound:.3e})")
-
-
-def _check_intensity_identity() -> tuple[bool, str]:
-    # independent reconstruction routes agree to O(h^2) on solution
-    # snapshots; measured 0.43 h^2 with ratio 4.0, frozen at 1.0 h^2
-    r_a = _ladder_level(256)["identity"]
-    r_b = _ladder_level(512)["identity"]
-    h = _ladder_level(256)["h"]
-    ratio = r_a / r_b
-    ok = r_a <= 1.0 * h**2 and 2.6 <= ratio <= 5.4
-    return ok, (f"n=256 max identity residual {r_a:.3e} "
-                f"(need <= {1.0 * h**2:.3e}); 256->512 shrink {ratio:.2f} "
-                f"(need [2.6, 5.4])")
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +241,21 @@ def _check_determinism_persistence() -> tuple[bool, str]:
                 f"runs: {identical}; write/read round trip bit-exact: {bit_exact}")
 
 
+# the identity's two reconstruction routes agree to O(h^2) on solution
+# snapshots; measured 0.43 h^2 with ratio 4.0, frozen at 1.0 h^2
+_IDENTITY_BOUND = 1.0 * Grid1D(n=256).h ** 2
+
 CRITERIA: list = [
-    ("oracle-equivalence", _check_oracle_equivalence),
+    ("oracle-equivalence",
+     partial(_shrinks, "equivalence", "max rel Linf", 1.0e-3, "1e-3")),
     ("equivalence-order", _check_equivalence_order),
-    ("current-conservation-order", _check_current_conservation),
-    ("energy-drift-order", _check_energy_drift),
+    ("current-conservation-order",
+     partial(_orders_both, "current", "charge-balance residual")),
+    ("energy-drift-order", partial(_orders_both, "energy", "relative energy drift")),
     ("gauge-wave-regression", _check_gauge_wave_regression),
-    ("intensity-identity", _check_intensity_identity),
+    ("intensity-identity",
+     partial(_shrinks, "identity", "max identity residual", _IDENTITY_BOUND,
+             f"{_IDENTITY_BOUND:.3e}")),
     ("riccati-ladder", _check_riccati_ladder),
     ("ladder-structure", _check_ladder_structure),
     ("reduced-embedding", _check_reduced_embedding),

@@ -15,8 +15,6 @@ scenario names, malformed flags).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import re
 import sys
@@ -42,6 +40,7 @@ from .diagnostics import compare, observed_order
 from .kernel import SimulationError
 from .run import (
     CONFIG_KEYS,
+    LADDER_SIZES,
     LEVEL_KEYS,
     ConfigError,
     FormatVersionMismatch,
@@ -53,6 +52,7 @@ from .run import (
     read_snapshot,
     write_run_outputs,
     write_snapshot,
+    write_table,
 )
 from .scenarios import SCENARIO_NAMES
 
@@ -115,15 +115,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text())
-    with (out_dir / "compare.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"]
-                        + [f"linf_rel_b{mu}" for mu in range(4)]
-                        + [f"l2_rel_b{mu}" for mu in range(4)])
-        for k in range(len(report.times)):
-            writer.writerow([repr(float(report.times[k]))]
-                            + [repr(float(v)) for v in report.linf_rel[k]]
-                            + [repr(float(v)) for v in report.l2_rel[k]])
+    write_table(out_dir / "compare.csv",
+                ["t", *(f"{norm}_rel_b{mu}" for norm in ("linf", "l2") for mu in range(4))],
+                ([t, *linf, *l2] for t, linf, l2
+                 in zip(report.times, report.linf_rel, report.l2_rel)))
     print(report.to_text())
     for key, value in sorted(report.to_kv().items()):
         print(f"{key} = {value:.6e}")
@@ -151,20 +146,14 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     # each level runs on its own comb step, which never exceeds 0.5 h
     results = [ladder_level(replace(cfg, grid=g, dt=0.0))[0] for g in grids]
 
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     header = ("n", "h", "equivalence", "energy_drift_full",
               "energy_drift_reduced", "current_residual_full",
               "current_residual_reduced")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for g, level in zip(grids, results):
-        writer.writerow([g.n] + [repr(float(level[key])) for key in LEVEL_KEYS])
-    csv_text = buf.getvalue()
-    print(csv_text, end="")
-
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "convergence.csv").write_text(csv_text)
+    print(write_table(out_dir / "convergence.csv", header,
+                      ([g.n, *(level[key] for key in LEVEL_KEYS)]
+                       for g, level in zip(grids, results))), end="")
 
     for name in LEVEL_KEYS[1:]:
         pairs = [(level["h"], level[name]) for level in results]
@@ -332,8 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid-refinement ladder: equivalence, energy drift, charge "
              "balance, and their observed orders")
     _add_config_flags(sub, omit=("--n", "--dt"))
-    sub.add_argument("--levels", default="128,256,512",
-                     help="comma-separated grid sizes (default 128,256,512); "
+    levels = ",".join(map(str, LADDER_SIZES))
+    sub.add_argument("--levels", default=levels,
+                     help=f"comma-separated grid sizes (default {levels}); "
                           "each level replaces a config file's grid.n and "
                           "runs on the comb step, replacing its time.dt")
     sub.set_defaults(func=_cmd_convergence)

@@ -85,7 +85,8 @@ def total_energy(s: ReducedState, p: Params) -> float:
 def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
     """total_energy given the state's (Phi, Phidot) from _intensity.
 
-    Full states carry phi, so only a reduced state's energy reads the pair.
+    The mass and coupling terms read Phi for both flavors.  Full states carry
+    phi, so only a reduced state's kinetic term reads the pair.
     """
     g = s.grid
     b0, b1, b2, b3 = s.B
@@ -99,17 +100,12 @@ def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
 
     coupling_sq = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
     if isinstance(s, FullState):
-        matter = (
-            0.5 * s.phidot**2
-            + 0.5 * deriv_x(s.phi, g) ** 2
-            + 0.5 * (p.m**2) * s.phi**2
-            + 0.5 * (p.e**2) * coupling_sq * s.phi**2
-        )
+        kinetic = 0.5 * s.phidot**2 + 0.5 * deriv_x(s.phi, g) ** 2
     else:
-        quot = np.zeros_like(Phi)
+        kinetic = np.zeros_like(Phi)
         np.divide(Phidot**2 + deriv_x(Phi, g) ** 2, 8.0 * Phi,
-                  out=quot, where=~below_phi_floor(Phi))
-        matter = quot + 0.5 * (p.m**2) * Phi + 0.5 * (p.e**2) * coupling_sq * Phi
+                  out=kinetic, where=~below_phi_floor(Phi))
+    matter = kinetic + 0.5 * (p.m**2) * Phi + 0.5 * (p.e**2) * coupling_sq * Phi
 
     return math.fsum(em + matter) * g.h
 
@@ -185,15 +181,14 @@ class CompareReport:
     Relative norms divide by a per-component scale: the max-abs of that
     component over both trajectories (so the report is symmetric in its
     arguments).  A component that is identically zero in both runs gets
-    scale 1 and thus zero relative error.
+    scale 1 and thus zero relative error.  An absolute distance is its
+    relative one times scales, up to rounding.
     """
 
     times: Array          # (K,)
     scales: Array         # (4,)  per-component denominators
-    linf_abs: Array       # (K, 4)
-    l2_abs: Array         # (K, 4)  grid-RMS
     linf_rel: Array       # (K, 4)
-    l2_rel: Array         # (K, 4)
+    l2_rel: Array         # (K, 4)  grid-RMS
 
     @property
     def max_rel_linf(self) -> float:
@@ -245,14 +240,8 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareReport:
         linf[k] = np.max(np.abs(diff), axis=1)
         l2[k] = np.sqrt(np.mean(diff * diff, axis=1))
 
-    return CompareReport(
-        times=ta.copy(),
-        scales=scales,
-        linf_abs=linf,
-        l2_abs=l2,
-        linf_rel=linf / denom,
-        l2_rel=l2 / denom,
-    )
+    return CompareReport(times=ta.copy(), scales=scales,
+                         linf_rel=linf / denom, l2_rel=l2 / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ initial state and integrates one flavor; ``write_run_outputs`` writes raw
 little-endian snapshots with JSON sidecars, a re-parseable echo of the
 effective configuration, and per-snapshot diagnostics in ``extras.csv``.
 ``ladder_level`` runs both flavors of one configuration against each other.
+``write_table`` writes every CSV table the package writes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -36,6 +38,7 @@ __all__ = [
     "CONFIG_KEYS",
     "ConfigError",
     "FormatVersionMismatch",
+    "LADDER_SIZES",
     "LEVEL_KEYS",
     "RunConfig",
     "SNAPSHOT_FORMAT",
@@ -46,6 +49,7 @@ __all__ = [
     "read_snapshot",
     "write_run_outputs",
     "write_snapshot",
+    "write_table",
 ]
 
 SNAPSHOT_FORMAT = "1"
@@ -311,24 +315,36 @@ def integrate(cfg: RunConfig, flavor: str) -> Trajectory:
     return integrator(s0, cfg.resolved_dt(), cfg.t_end, cfg.params, every=cfg.every)
 
 
-_EXTRAS_FIELDS = ("t", "energy", "constraint_residual", "min_abs_b0",
-                  "min_phi", "fallback_fraction", "charge_mean")
+def write_table(path: str | Path, header: Iterable[str],
+                rows: Iterable[Iterable[object]]) -> str:
+    """Write a CSV table to path and return its text.
+
+    A float cell is written as the repr of a Python float, which reads back
+    exactly; any other cell as the csv module writes it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    Path(path).write_text(buf.getvalue(), newline="")
+    return buf.getvalue()
 
 
 def write_run_outputs(cfg: RunConfig, traj: Trajectory) -> None:
-    """config.txt, one snapshot per state and extras.csv under cfg.out_dir."""
+    """config.txt, one snapshot per state and extras.csv, whose columns are
+    the keys of snapshot_extras, under cfg.out_dir."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text())
     for k, state in enumerate(traj.states):
         write_snapshot(out_dir / f"snap_{k:05d}.bin", state, scenario=cfg.scenario)
-    with (out_dir / "extras.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EXTRAS_FIELDS)
-        for state in traj.states:
-            extra = snapshot_extras(state, cfg.params)
-            writer.writerow([repr(float(extra[f])) for f in _EXTRAS_FIELDS])
+    extras = [snapshot_extras(state, cfg.params) for state in traj.states]
+    write_table(out_dir / "extras.csv", list(extras[0]), [e.values() for e in extras])
 
+
+# the grid sizes of the acceptance gate's ladder and of `kgmlab convergence`
+LADDER_SIZES = (128, 256, 512)
 
 # ladder_level keys in convergence.csv column order (after n)
 LEVEL_KEYS = ("h", "equivalence", "energy_full", "energy_reduced",
@@ -339,12 +355,11 @@ def ladder_level(cfg: RunConfig) -> tuple[dict[str, float], Trajectory]:
     """Run both flavors of cfg; measure their distance and, per flavor, the
     relative energy drift and peak charge-balance residual.
 
-    Returns the numbers (keys LEVEL_KEYS and dt) and the reduced trajectory.
+    Returns the numbers (keys LEVEL_KEYS) and the reduced trajectory.
     """
     traj_full = integrate(cfg, "full")
     traj_red = integrate(cfg, "reduced")
-    out = {"h": cfg.grid.h, "dt": cfg.resolved_dt(),
-           "equivalence": compare(traj_full, traj_red).max_rel_linf}
+    out = {"h": cfg.grid.h, "equivalence": compare(traj_full, traj_red).max_rel_linf}
     for tag, traj in (("full", traj_full), ("reduced", traj_red)):
         out[f"energy_{tag}"], out[f"current_{tag}"] = conservation_defects(traj, cfg.params)
     return out, traj_red

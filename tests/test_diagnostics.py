@@ -142,8 +142,8 @@ def test_compare_self_is_zero():
     traj = run_full(s0, comb_dt(0.2, g), 0.2, p, every=4)
     rep = compare(traj, traj)
     assert rep.max_rel_linf == 0.0
-    assert np.all(rep.linf_abs == 0.0)
-    assert np.all(rep.l2_abs == 0.0)
+    assert np.all(rep.linf_rel == 0.0)
+    assert np.all(rep.l2_rel == 0.0)
 
 
 def test_compare_symmetric_and_scaled():
