@@ -404,7 +404,10 @@ def evolve(m: sp.spmatrix, v0: Array, t_end: float) -> Array:
     <= 1000 and the amplitudes are checked after each, so a flow that
     overflows stops at the first piece that does instead of after the
     whole horizon's work.  The generator is assumed time-independent.
+    Raises ValueError unless t_end is finite.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     pieces = max(1, math.ceil(abs(t_end) * spla.norm(m, 1) / 1000.0))
     step = (t_end / pieces) * m
     v = np.asarray(v0, dtype=complex)

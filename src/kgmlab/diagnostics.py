@@ -252,15 +252,16 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareReport:
 def observed_order(errors: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Needs at least two distinct resolutions with positive errors; anything
-    else raises DegenerateInput.
+    Needs at least two distinct resolutions, with positive finite spacings
+    and errors; anything else raises DegenerateInput.
     """
     if len(errors) < 2:
         raise DegenerateInput("need at least two refinement levels")
     h = np.array([float(a) for a, _ in errors])
     e = np.array([float(b) for _, b in errors])
-    if np.any(h <= 0.0) or np.any(e <= 0.0):
-        raise DegenerateInput("spacings and errors must be positive")
+    # a NaN compares False on both sides, so it is refused too
+    if not np.all((h > 0.0) & (h < np.inf) & (e > 0.0) & (e < np.inf)):
+        raise DegenerateInput("spacings and errors must be positive and finite")
     if float(np.max(h)) == float(np.min(h)):
         raise DegenerateInput("all resolutions equal; no trend to fit")
     slope, _ = np.polyfit(np.log(h), np.log(e), 1)

@@ -70,7 +70,7 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot += mass
 
     # [D B_1, div B], with div B = dB_0/dt - D B_1
-    first = np.empty((2, g.n))
+    first = np.empty((2, g.n), dtype=s.B.dtype)
     d_b1 = deriv_x(s.B[1], g, out=first[0])
     np.subtract(s.Bdot[0], d_b1, out=first[1])
     return phi_ddot, spatial_accel(s.B, deriv_x(first, g), phi_sq, p, g)

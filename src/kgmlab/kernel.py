@@ -196,8 +196,9 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
     deriv_x call on [D B_1, div B] with div B = dB_0/dt - D B_1, and the
     intensity Phi = phi^2, carried (full) or reconstructed (reduced).
 
-    With out=, a (3, n) float64 array such as rows 1..3 of the caller's
-    (4, n) block, the rows are written there and out is returned.
+    The rows are allocated with B's dtype.  With out=, a (3, n) array of
+    that dtype such as rows 1..3 of the caller's (4, n) block, the rows are
+    written there and out is returned.
 
     B_1's second derivative is the composed stencil D(D .), not the compact
     laplacian: the same composition appears inside D(div B), in the
@@ -208,7 +209,7 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
     the compact stencil.
     """
     if out is None:
-        out = np.empty((3, g.n))
+        out = np.empty((3, g.n), dtype=B.dtype)
     np.add(dd[0], dd[1], out=out[0])
     deriv_xx(B[2:], g, out=out[1:])
     screen = np.multiply(2.0 * p.e**2, B[1:])
@@ -231,6 +232,8 @@ class ReducedState:
     """Potential-only state: covariant B_mu and their first time derivatives.
 
     B and Bdot are arrays of shape (4, n); row 0 is the time component.
+    A floating dtype is kept (np.longdouble stays np.longdouble); any other
+    input is cast to float64, as the stencils do.
 
     charge_mean is the grid mean of B_0*Phi, the total charge density
     divided by the domain volume.  On a periodic domain the zero mode of
@@ -247,8 +250,8 @@ class ReducedState:
     charge_mean: float = 0.0
 
     def __post_init__(self) -> None:
-        self.B = np.asarray(self.B, dtype=float)
-        self.Bdot = np.asarray(self.Bdot, dtype=float)
+        self.B = _floating(self.B)
+        self.Bdot = _floating(self.Bdot)
         _as_field_block("B", self.B, self.grid.n)
         _as_field_block("Bdot", self.Bdot, self.grid.n)
 
@@ -290,8 +293,8 @@ class FullState(ReducedState):
         super().__post_init__()
         if self.phi is None or self.phidot is None:
             raise ValueError("FullState requires phi and phidot")
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.phidot = np.asarray(self.phidot, dtype=float)
+        self.phi = _floating(self.phi)
+        self.phidot = _floating(self.phidot)
         for name, arr in (("phi", self.phi), ("phidot", self.phidot)):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have shape ({self.grid.n},), got {arr.shape}")
@@ -386,13 +389,16 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
     steps (plus endpoints).
 
     Snapshot times are s0.t + k*dt with exact integer step counts; t_end
-    must sit on the step comb to within 1e-9.  A SimulationError from a
-    step is re-raised as the same type, naming the time it was stepping to.
+    must be finite and sit on the step comb to within 1e-9, and dt must be
+    finite and nonzero.  A SimulationError from a step is re-raised as the
+    same type, naming the time it was stepping to.
     """
     if every < 1:
         raise ValueError("every must be >= 1")
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
+    if not math.isfinite(dt) or dt == 0.0:
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     span = t_end - s0.t
     n_steps = int(round(span / dt))
     if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):

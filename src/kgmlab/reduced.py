@@ -169,7 +169,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
 
     b0_safe = _guarded_b0(s)
     # first = [D B_0, D B_1, div B], second = D of each row
-    first = np.empty((3, g.n))
+    first = np.empty((3, g.n), dtype=s.B.dtype)
     deriv_x(s.B[:2], g, out=first[:2])
     div_b = np.subtract(bd0, first[1], out=first[2])
     d_bd1 = deriv_x(bd1, g)
@@ -180,7 +180,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     Phidot = _phi_dot(s, Phi, b0_safe, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
-    acc = np.empty((4, g.n))
+    acc = np.empty((4, g.n), dtype=s.B.dtype)
     spatial_accel(s.B, second[1:], Phi, p, g, out=acc[1:])
 
     # Matter wave equation in Phi.  The quotient term is bounded on the

@@ -200,7 +200,11 @@ def _sidecar(path: Path) -> Path:
 def write_snapshot(path: str | Path,
                    state: ReducedState,
                    scenario: ScenarioSpec | None = None) -> None:
-    """Raw little-endian float64 rows + JSON sidecar; see the layout above."""
+    """Raw little-endian float64 rows + JSON sidecar; see the layout above.
+
+    A state of a wider float dtype, such as np.longdouble, is rounded to
+    float64 when written.
+    """
     path = Path(path)
     rows = [*state.B, *state.Bdot]
     if isinstance(state, FullState):

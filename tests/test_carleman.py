@@ -356,6 +356,15 @@ def test_evolve_overflow_raises():
             evolve(m, v, 1.0)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_evolve_rejects_non_finite_horizon(t_end):
+    # the piece count used to fail inside math.ceil without naming t_end
+    basis = FockBasis(k=1, cutoff=4)
+    m = build_m(riccati_system(), basis)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        evolve(m, silent_coherent([0.5], basis), t_end)
+
+
 def test_evolve_decay_at_overflow_norm_stays_finite():
     # the same ||tM||_1 as the overflowing flow above, but every excited
     # amplitude decays: the vacuum amplitude is untouched and the rest

@@ -8,13 +8,14 @@ same boundary a shell user sees.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgmlab import diagnostics
+from kgmlab import cli, diagnostics
 from kgmlab.cli import (
     ConfigError,
     FormatVersionMismatch,
@@ -406,6 +407,24 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert out.startswith("n,h,equivalence")
     assert "observed_order[equivalence]" in out
     assert (tmp_path / "v" / "convergence.csv").read_text().startswith("n,h,")
+
+
+def test_convergence_prints_undefined_for_a_non_finite_error(monkeypatch, tmp_path, capsys):
+    # an energy drift that overflowed on one level has no order to fit
+    def level(cfg):
+        h = cfg.grid.h
+        return {"h": h, "equivalence": h * h, "energy_full": math.inf,
+                "energy_reduced": h * h, "current_full": h, "current_reduced": math.nan}, None
+
+    monkeypatch.setattr(cli, "ladder_level", level)
+    assert main(["convergence", "--levels", "32,64", "--out", str(tmp_path / "v")]) == 0
+    out = capsys.readouterr().out
+    assert "observed_order[equivalence] = 2.000" in out
+    assert "observed_order[energy_reduced] = 2.000" in out
+    assert "observed_order[current_full] = 1.000" in out
+    for name in ("energy_full", "current_reduced"):
+        assert (f"observed_order[{name}] undefined: spacings and errors must be "
+                "positive and finite") in out
 
 
 @pytest.mark.parametrize("levels", ["64,64", "32,64,32"])

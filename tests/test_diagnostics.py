@@ -219,6 +219,16 @@ def test_observed_order_rejects_degenerate_input():
         observed_order([(0.1, 1e-3), (0.05, 0.0)])
 
 
+@pytest.mark.parametrize("h, err", [
+    (np.inf, 1e-3), (np.nan, 1e-3), (0.05, np.inf), (0.05, np.nan),
+], ids=["h-inf", "h-nan", "err-inf", "err-nan"])
+def test_observed_order_refuses_non_finite_input(h, err):
+    # a NaN or infinite error used to fit to nan, and an infinite spacing
+    # to a RuntimeWarning
+    with pytest.raises(DegenerateInput, match="positive and finite"):
+        observed_order([(0.1, 1e-3), (h, err)])
+
+
 # ---------------------------------------------------------------------------
 # per-snapshot extras
 # ---------------------------------------------------------------------------

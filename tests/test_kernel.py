@@ -297,6 +297,16 @@ def test_state_shape_validation():
         FullState(t=0.0, B=np.zeros((4, g.n)), Bdot=np.zeros((4, g.n)), grid=g)
 
 
+def test_states_keep_a_floating_dtype():
+    # np.longdouble rows stay np.longdouble; integer rows become float64
+    g = Grid1D(n=8)
+    wide, ints = np.ones((4, g.n), dtype=np.longdouble), np.ones((4, g.n), dtype=int)
+    s = FullState(t=0.0, B=wide, Bdot=ints, grid=g, phi=wide[0], phidot=ints[0])
+    assert s.B.dtype == s.phi.dtype == np.longdouble
+    assert s.Bdot.dtype == s.phidot.dtype == np.float64
+    assert s.to_reduced().B.dtype == np.longdouble
+
+
 def test_b0_floor_guard_reports_location():
     g = Grid1D(n=8)
     B = np.ones((4, g.n))

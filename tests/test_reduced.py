@@ -9,6 +9,8 @@ calibration constants are noted inline next to each frozen tolerance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -253,6 +255,22 @@ def test_run_drivers_reject_bad_arguments(run, flavor):
         run(s0, 0.0, 0.1, p)
 
 
+@pytest.mark.parametrize("run, flavor", [
+    (run_full, lambda s: s),
+    (run_reduced, lambda s: s.to_reduced()),
+], ids=["run_full", "run_reduced"])
+@pytest.mark.parametrize("dt, t_end, name", [
+    (math.inf, 1.0, "dt"), (-math.inf, 1.0, "dt"), (math.nan, 1.0, "dt"),
+    (0.01, math.nan, "t_end"), (0.01, math.inf, "t_end"), (0.01, -math.inf, "t_end"),
+], ids=["dt-inf", "dt-minus-inf", "dt-nan", "t_end-nan", "t_end-inf", "t_end-minus-inf"])
+def test_run_drivers_refuse_non_finite_step_or_horizon(run, flavor, dt, t_end, name):
+    # an infinite dt used to return the initial snapshot alone, as if it had
+    # reached t_end; a NaN or an infinite horizon failed in the step count
+    s0 = flavor(make_scenario(default_scenario("vacuum-offset"), Params(), Grid1D(n=32)))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        run(s0, dt, t_end, Params())
+
+
 def test_run_attaches_failing_time():
     g = Grid1D(n=32)
     p = Params()
@@ -264,6 +282,30 @@ def test_run_attaches_failing_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises((NonFinite, DegenerateClosure), match=r"t="):
             run_reduced(s0, 0.01, 0.1, p)
+
+
+@pytest.mark.parametrize("n, bound_b, bound_bdot", [
+    (128, 4e-11, 1.2e-9),
+    (256, 3e-10, 1.1e-8),
+])
+def test_run_keeps_a_longdouble_state(n, bound_b, bound_bdot):
+    # The matter packet to t = 0.5 on the comb step, in np.longdouble and in
+    # float64.  Their distance is the float64 run's rounding floor: measured
+    # 3.8e-12 (B) and 1.2e-10 (Bdot) at n = 128, 2.9e-11 and 1.1e-9 at
+    # n = 256, bounded at 10x.
+    g, p = Grid1D(n=n), Params()
+    s0 = make_scenario(default_scenario("matter-packet"), p, g).to_reduced()
+    wide0 = ReducedState(t=s0.t, B=s0.B.astype(np.longdouble),
+                         Bdot=s0.Bdot.astype(np.longdouble), grid=g,
+                         charge_mean=s0.charge_mean)
+    dt = comb_dt(0.5, g)
+    narrow = run_reduced(s0, dt, 0.5, p).states[-1]
+    wide = run_reduced(wide0, dt, 0.5, p, every=8).states
+    assert all(s.B.dtype == s.Bdot.dtype == np.longdouble for s in wide)
+    dist_b = float(np.max(np.abs(wide[-1].B - narrow.B)))
+    dist_bdot = float(np.max(np.abs(wide[-1].Bdot - narrow.Bdot)))
+    assert 0.0 < dist_b <= bound_b
+    assert 0.0 < dist_bdot <= bound_bdot
 
 
 def test_step_reversal_returns_to_start():
