@@ -87,6 +87,11 @@ def _shrinks(metric: str, label: str, bound: float, shown: str) -> tuple[bool, s
                 f"256->512 shrink {ratio:.2f} (need [2.6, 5.4])")
 
 
+def _check_equivalence_order() -> tuple[bool, str]:
+    order = _order("equivalence")
+    return abs(order - 2.0) <= 0.3, f"observed order {order:.3f} (need 2.0 +- 0.3)"
+
+
 def _orders_both(metric: str, label: str) -> tuple[bool, str]:
     """The metric's observed orders on the full and the reduced runs are
     both at least 1.7."""
@@ -95,11 +100,6 @@ def _orders_both(metric: str, label: str) -> tuple[bool, str]:
     ok = o_full >= 1.7 and o_red >= 1.7
     return ok, (f"{label} orders: full {o_full:.3f}, "
                 f"reduced {o_red:.3f} (need >= 1.7)")
-
-
-def _check_equivalence_order() -> tuple[bool, str]:
-    order = _order("equivalence")
-    return abs(order - 2.0) <= 0.3, f"observed order {order:.3f} (need 2.0 +- 0.3)"
 
 
 def _check_gauge_wave_regression() -> tuple[bool, str]:

@@ -259,8 +259,7 @@ def observed_order(errors: list[tuple[float, float]]) -> float:
         raise DegenerateInput("need at least two refinement levels")
     h = np.array([float(a) for a, _ in errors])
     e = np.array([float(b) for _, b in errors])
-    # a NaN compares False on both sides, so it is refused too
-    if not np.all((h > 0.0) & (h < np.inf) & (e > 0.0) & (e < np.inf)):
+    if not np.all(np.isfinite(h) & np.isfinite(e) & (h > 0.0) & (e > 0.0)):
         raise DegenerateInput("spacings and errors must be positive and finite")
     if float(np.max(h)) == float(np.min(h)):
         raise DegenerateInput("all resolutions equal; no trend to fit")
