@@ -1,10 +1,11 @@
 """Byte identity of the command outputs, pinned by SHA-256 digests.
 
 Each entry of digests.json maps a ``kgmlab`` command line to the digest of
-what it writes: for a run, every file of its output directory but
-config.txt (which echoes the directory), names and bytes in name order;
-for any other command, its stdout.  A one-ulp change to any snapshot array
-changes its run's digest.
+what it writes: every file of its output directory but config.txt (which
+echoes the directory), names and bytes in name order, then its stdout.  A
+run's stdout names the directory, so a run's digest leaves it out; the
+carleman demos and check write no directory.  A one-ulp change to any
+snapshot array changes its run's digest.
 
 `check` reruns the acceptance gate.  It costs about 0.3 s when
 test_acceptance has already filled kgmlab.checks._ladder_level's cache in
@@ -41,7 +42,8 @@ DIGESTS = Path(__file__).with_name("digests.json")
 # The matter packet's runs write every step.  The n = 4096 reduced run is
 # the benchmark's grid size, over its first 66 steps.  The free-field
 # scenarios are closed-form or static, and their every-8th snapshots carry
-# any move on.  Without check, they take about 1 s together.
+# any move on.  compare and convergence run both integrators on the matter
+# packet to t = 0.3.  Without check, they take about 1.3 s together.
 COMMANDS = [
     "run-full --n 256",
     "run-reduced --n 256",
@@ -54,7 +56,11 @@ COMMANDS = [
     "carleman lotka",
     "carleman reduced-tiny",
     "check",
+    "compare --n 256 --t-end 0.3",
+    "convergence --t-end 0.3",
 ]
+# the commands that write an output directory, which takes --out
+WRITES = ("run-full", "run-reduced", "compare", "convergence")
 
 
 def versions() -> dict[str, str]:
@@ -64,16 +70,17 @@ def versions() -> dict[str, str]:
 def output_digest(command: str) -> str:
     """SHA-256 hex digest of what command writes; see the module docstring."""
     argv = command.split()
-    if not argv[0].startswith("run-"):
-        with contextlib.redirect_stdout(io.StringIO()) as buf:
-            assert main(argv) == 0, f"{command} failed"
-        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
     digest = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", tmp]) == 0, f"{command} failed"
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()) as buf:
+        if argv[0] in WRITES:
+            argv += ["--out", tmp]
+        assert main(argv) == 0, f"{command} failed"
         for path in sorted(Path(tmp).iterdir()):
             if path.name != "config.txt":
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    if not argv[0].startswith("run-"):
+        digest.update(buf.getvalue().encode())
     return digest.hexdigest()
 
 
