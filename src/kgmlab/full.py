@@ -1,31 +1,32 @@
 """Full-system reference integrator.
 
 Evolves the coupled matter + vector-field system directly, as the oracle
-the electromagnetic-only integrator is judged against.  The time-0 field
-component is never integrated hyperbolically while matter is present:
-(phi, phidot, B_i, Bdot_i) advance with a classical four-stage explicit
-scheme.  Stage 1 is the incoming state as it is; each later stage and the
-step's result solve B_0 from the elliptic slice equation pinned to the
-state's charge mean, and Bdot_0 from the algebraic rate balance.  The
-charge mean is carried, never re-formed, so every step pins the same
-number and the state a step ends on is already its own pinned solve:
-re-solving it at stage 1 gives back the same bits at every step of
-`run-full --n 256`.  The first step starts from make_scenario's projected
-solve, whose B_0 differs from the pinned one by about one ulp.  That keeps
-the constraint satisfied to solver precision at every snapshot and makes
-the stage map a genuine function of the integrated variables, so the
-scheme retains its full temporal order.
+the electromagnetic-only integrator is judged against.  All ten fields
+(phi, phidot and the four rows of B and of Bdot) advance together through
+one classical four-stage explicit scheme; with matter present, a solve
+replaces the rows 0 the scheme forms.
+
+With matter, B_0 is never integrated hyperbolically.  Stage 1 is the
+incoming state as it is; each later stage and the step's result solve B_0
+from the elliptic slice equation pinned to the state's charge mean, and
+Bdot_0 from the algebraic rate balance.  The charge mean is carried, never
+re-formed, so every step pins the same number and the state a step ends on
+is already its own pinned solve: re-solving it at stage 1 gives back the
+same bits at every step of `run-full --n 256`.  The first step starts from
+make_scenario's projected solve, whose B_0 differs from the pinned one by
+about one ulp.  That keeps the constraint satisfied to solver precision at
+every snapshot and makes the stage map a genuine function of the
+integrated variables, so the scheme retains its full temporal order.
 
 When the scalar field is identically zero the elliptic operator loses its
 screening and the slice equations no longer determine the kernel modes of
-B_0 and its rate.  That sector is free wave dynamics: all ten fields
-advance hyperbolically (divergence-freezing closure for B_0's
-acceleration).  Because every repeated x-derivative in the scheme is the
-composed central stencil D(D .), the time derivative of the discrete
-constraint vanishes identically along the free flow, so the constraint is
-transported exactly and the re-solve step degenerates to the identity; it
-is therefore skipped.  The branch choice is made once per step from the
-incoming state.
+B_0 and its rate.  That sector is free wave dynamics, and rows 0 keep what
+the scheme forms: B_0's rate is Bdot_0 and Bdot_0's is D(Bdot_1), the
+divergence-freezing closure.  Because every repeated x-derivative in the
+scheme is the composed central stencil D(D .), the time derivative of the
+discrete constraint vanishes identically along the free flow, so the
+constraint is transported exactly and a solve would give back the field it
+was handed; none is made.
 """
 
 from __future__ import annotations
@@ -76,74 +77,43 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     return phi_ddot, spatial_accel(s.B, deriv_x(first, g), phi_sq, p, g)
 
 
-# ---------------------------------------------------------------------------
-# constrained stepping (matter present)
-# ---------------------------------------------------------------------------
-
-
-def _step_matter(s: FullState, dt: float, p: Params) -> FullState:
-    g, qbar = s.grid, s.charge_mean
-
-    def rhs(t, phi, phidot, b_i, bdot_i):
-        # stage 1 is the step's own, already solved state: rk4 passes its arrays
-        stage = s if phi is s.phi else slice_state(t, phi, phidot, b_i, bdot_i, p, g,
-                                                   charge_mean=qbar)
-        phi_ddot, b_ddot_i = accel_full(stage, p)
-        return phidot, phi_ddot, bdot_i, b_ddot_i
-
-    y = rk4(rhs, s.t, (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dt)
-    return slice_state(s.t + dt, *y, p, g, charge_mean=qbar)
-
-
-# ---------------------------------------------------------------------------
-# free stepping (matter below floor everywhere)
-# ---------------------------------------------------------------------------
-
-
-def _step_free(s: FullState, dt: float, p: Params) -> FullState:
-    g = s.grid
-
-    def rhs(t, phi, phidot, B, Bdot):
-        stage = FullState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=s.charge_mean,
-                          phi=phi, phidot=phidot)
-        phi_ddot, b_ddot_i = accel_full(stage, p)
-        b_ddot = np.concatenate([deriv_x(Bdot[1], g)[None, :], b_ddot_i])
-        return phidot, phi_ddot, Bdot, b_ddot
-
-    phi, phidot, B, Bdot = rk4(rhs, s.t, (s.phi, s.phidot, s.B, s.Bdot), dt)
-
-    # No re-solve: with phi identically zero the stage derivatives satisfy
-    # d/dt [D(D B_0) - D(Bdot_1)] = 0 term by term (the composed stencils
-    # cancel), so the RK4 update transports the constraint exactly and the
-    # solver would return the incoming field back.
-    return FullState(t=s.t + dt, B=B, Bdot=Bdot, grid=g, charge_mean=s.charge_mean,
-                     phi=phi, phidot=phidot)
-
-
-# ---------------------------------------------------------------------------
-# public stepping
-# ---------------------------------------------------------------------------
-
-
 def step_full(s: FullState, dt: float, p: Params) -> FullState:
     """Advance one step of size dt (dt < 0 steps backward).
 
-    Any nonzero scalar field routes through the constrained branch (the
-    screened solve is nonsingular in floats whenever phi^2 > 0 somewhere on
-    both the even and the odd points); the hyperbolic branch is reserved
-    for the exactly matter-free sector where the slice equations cannot
-    see B_0's kernel modes.
+    All ten fields step through one rk4 call.  With matter, that is with
+    phi nonzero anywhere in s (the screened solve is nonsingular in floats
+    whenever phi^2 > 0 somewhere on both the even and the odd points), a
+    solve replaces rows 0 of each later stage and of the result.  That
+    solve is float64, so a state with matter in any other dtype raises
+    ValueError; a matter-free step keeps the state's dtype.
 
-    Both branches carry s.charge_mean unchanged.  The constrained branch
-    takes stage 1 from s as given, so a hand-built s off the constraint
-    surface (or with a charge mean its B_0 and phi do not hold) feeds its
-    own (B_0, Bdot_0) into the first stage; the solve that ends the step
-    still puts the result on the surface pinned to s.charge_mean.
+    Every stage and the result carry s.charge_mean unchanged.  Stage 1 is s
+    as given, so a hand-built s off the constraint surface (or with a
+    charge mean its B_0 and phi do not hold) feeds its own (B_0, Bdot_0)
+    into the first stage; with matter, the solve that ends the step still
+    puts the result on the surface pinned to s.charge_mean.
     """
-    if np.any(s.phi):
-        out = _step_matter(s, dt, p)
-    else:
-        out = _step_free(s, dt, p)
+    g, qbar = s.grid, s.charge_mean
+    matter = bool(np.any(s.phi))
+    dtype = np.result_type(*(arr for _, arr in s.field_arrays()))
+    if matter and dtype != np.float64:
+        raise ValueError(f"a state with matter steps in float64, the precision of "
+                         f"its B_0 solve; got dtype {dtype}")
+
+    def state(t, phi, phidot, B, Bdot):
+        if matter:
+            return slice_state(t, phi, phidot, B[1:], Bdot[1:], p, g, charge_mean=qbar)
+        return FullState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=qbar,
+                         phi=phi, phidot=phidot)
+
+    def rhs(t, phi, phidot, B, Bdot):
+        # stage 1 is the incoming state itself: rk4 passes its arrays
+        stage = s if phi is s.phi else state(t, phi, phidot, B, Bdot)
+        phi_ddot, b_ddot_i = accel_full(stage, p)
+        b_ddot = np.concatenate([deriv_x(stage.Bdot[1], g)[None, :], b_ddot_i])
+        return stage.phidot, phi_ddot, stage.Bdot, b_ddot
+
+    out = state(s.t + dt, *rk4(rhs, s.t, (s.phi, s.phidot, s.B, s.Bdot), dt))
     out.require_finite()
     out.check_b0_floor()
     return out

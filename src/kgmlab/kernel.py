@@ -388,10 +388,10 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
     """Integrate with step(s, dt, p) to t_end, snapshotting every `every`
     steps (plus endpoints).
 
-    Snapshot times are s0.t + k*dt with exact integer step counts; t_end
-    must be finite and sit on the step comb to within 1e-9, and dt must be
-    finite and nonzero.  A SimulationError from a step is re-raised as the
-    same type, naming the time it was stepping to.
+    Snapshot times are s0.t + k*dt with exact integer step counts; s0.t
+    must be finite, t_end must be finite and sit on the step comb to within
+    1e-9, and dt must be finite and nonzero.  A SimulationError from a step
+    is re-raised as the same type, naming the time it was stepping to.
     """
     if every < 1:
         raise ValueError("every must be >= 1")
@@ -399,6 +399,8 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
         raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not math.isfinite(s0.t):
+        raise ValueError(f"start time t must be finite, got {s0.t!r}")
     span = t_end - s0.t
     n_steps = int(round(span / dt))
     if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):

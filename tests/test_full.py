@@ -9,6 +9,8 @@ the measured values are noted inline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -124,8 +126,8 @@ def test_step_reversal_returns_to_start():
 
 @pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
 def test_step_bit_identical_under_reference_stencils(scenario, use_roll_stencils):
-    # matter-packet takes the constrained branch, the matter-free gauge wave
-    # the free one
+    # matter-packet solves its rows 0, the matter-free gauge wave keeps the
+    # ones RK4 forms
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
@@ -140,8 +142,8 @@ def test_step_bit_identical_under_reference_stencils(scenario, use_roll_stencils
 
 @pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
 def test_step_leaves_its_input_unmodified(scenario):
-    # both branches step through the in-place RK4, whose first rates are
-    # the state's own phidot and Bdot rows
+    # with matter or without, the step goes through the in-place RK4, whose
+    # first rates are the state's own phidot and Bdot rows
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
@@ -152,12 +154,15 @@ def test_step_leaves_its_input_unmodified(scenario):
         assert not np.shares_memory(getattr(out, name), getattr(s, name))
 
 
-def test_step_matter_solves_each_slice_once(monkeypatch):
-    # stage 1 is the incoming state, already solved: stages 2-4 and the
-    # result make 4 constraint and 4 rate solves per step
+@pytest.mark.parametrize("scenario, solves", [("matter-packet", 8), ("pure-gauge-wave", 0)],
+                         ids=["matter-packet", "pure-gauge-wave"])
+def test_step_matter_solves_each_slice_once(monkeypatch, scenario, solves):
+    # stage 1 is the incoming state, already solved: with matter, stages 2-4
+    # and the result make 4 constraint and 4 rate solves per step; the
+    # matter-free step makes none
     g = Grid1D(n=64)
     p = Params()
-    s = make_scenario(default_scenario("matter-packet"), p, g)
+    s = make_scenario(default_scenario(scenario), p, g)
     calls = {"solve_gauss_constraint": 0, "solve_gauss_rate": 0}
 
     def counted(name):
@@ -172,7 +177,33 @@ def test_step_matter_solves_each_slice_once(monkeypatch):
         monkeypatch.setattr(scenarios, name, counted(name))
     for _ in range(2):
         s = step_full(s, 0.5 * g.h, p)
-    assert calls == {"solve_gauss_constraint": 8, "solve_gauss_rate": 8}
+    assert calls == {"solve_gauss_constraint": solves, "solve_gauss_rate": solves}
+
+
+def widened(s: FullState) -> FullState:
+    return replace(s, **{name: arr.astype(np.longdouble) for name, arr in s.field_arrays()})
+
+
+@pytest.mark.skipif(np.dtype(np.longdouble) == np.float64,
+                    reason="np.longdouble is float64 on this platform")
+def test_step_with_matter_refuses_longdouble():
+    # the solve is float64 LAPACK: a longdouble step used to return
+    # longdouble arrays whose B_0 matched the float64 step to 1e-16
+    g, p = Grid1D(n=64), Params()
+    s = widened(make_scenario(default_scenario("matter-packet"), p, g))
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(np.longdouble)}"):
+        step_full(s, 0.5 * g.h, p)
+
+
+@pytest.mark.parametrize("scenario", ["pure-gauge-wave", "vacuum-offset"])
+def test_step_matter_free_keeps_longdouble(scenario):
+    g, p = Grid1D(n=64), Params()
+    s = make_scenario(default_scenario(scenario), p, g)
+    narrow = step_full(s, 0.5 * g.h, p)
+    wide = step_full(widened(s), 0.5 * g.h, p)
+    for name, arr in wide.field_arrays():
+        assert arr.dtype == np.longdouble, name
+        assert_allclose(arr, getattr(narrow, name), rtol=0.0, atol=1e-14)
 
 
 def test_step_guard_violation_below_floor():

@@ -259,14 +259,19 @@ def test_run_drivers_reject_bad_arguments(run, flavor):
     (run_full, lambda s: s),
     (run_reduced, lambda s: s.to_reduced()),
 ], ids=["run_full", "run_reduced"])
-@pytest.mark.parametrize("dt, t_end, name", [
-    (math.inf, 1.0, "dt"), (-math.inf, 1.0, "dt"), (math.nan, 1.0, "dt"),
-    (0.01, math.nan, "t_end"), (0.01, math.inf, "t_end"), (0.01, -math.inf, "t_end"),
-], ids=["dt-inf", "dt-minus-inf", "dt-nan", "t_end-nan", "t_end-inf", "t_end-minus-inf"])
-def test_run_drivers_refuse_non_finite_step_or_horizon(run, flavor, dt, t_end, name):
+@pytest.mark.parametrize("dt, t_end, t0, name", [
+    (math.inf, 1.0, 0.0, "dt"), (-math.inf, 1.0, 0.0, "dt"), (math.nan, 1.0, 0.0, "dt"),
+    (0.01, math.nan, 0.0, "t_end"), (0.01, math.inf, 0.0, "t_end"),
+    (0.01, -math.inf, 0.0, "t_end"),
+    (0.01, 1.0, math.nan, "t"), (0.01, 1.0, math.inf, "t"), (0.01, 1.0, -math.inf, "t"),
+], ids=["dt-inf", "dt-minus-inf", "dt-nan", "t_end-nan", "t_end-inf", "t_end-minus-inf",
+        "t-nan", "t-inf", "t-minus-inf"])
+def test_run_drivers_refuse_non_finite_step_or_horizon(run, flavor, dt, t_end, t0, name):
     # an infinite dt used to return the initial snapshot alone, as if it had
-    # reached t_end; a NaN or an infinite horizon failed in the step count
+    # reached t_end; a NaN or an infinite horizon or start time failed in the
+    # step count without naming it
     s0 = flavor(make_scenario(default_scenario("vacuum-offset"), Params(), Grid1D(n=32)))
+    s0.t = t0
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         run(s0, dt, t_end, Params())
 
