@@ -153,8 +153,10 @@ class PolySystem:
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
         coefs, factors, scatter = self._table
-        x = np.append(np.asarray(x, dtype=complex), 1.0)
-        return scatter @ (coefs * np.prod(x[factors], axis=1))
+        padded = np.empty(self.k + 1, dtype=complex)
+        padded[:-1] = x
+        padded[-1] = 1.0
+        return scatter @ (coefs * np.multiply.reduce(padded[factors], axis=1))
 
 
 def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array:

@@ -22,7 +22,8 @@ When the scalar field is identically zero the elliptic operator loses its
 screening and the slice equations no longer determine the kernel modes of
 B_0 and its rate.  That sector is free wave dynamics, and rows 0 keep what
 the scheme forms: B_0's rate is Bdot_0 and Bdot_0's is D(Bdot_1), the
-divergence-freezing closure.  Because every repeated x-derivative in the
+divergence-freezing closure, which accel_full puts in row 0 of the (4, n)
+block of rates it returns.  Because every repeated x-derivative in the
 scheme is the composed central stencil D(D .), the time derivative of the
 discrete constraint vanishes identically along the free flow, so the
 constraint is transported exactly and a solve would give back the field it
@@ -51,14 +52,18 @@ __all__ = ["accel_full", "run_full", "step_full"]
 
 
 def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
-    """(phi_ddot, B_ddot spatial rows) at the given state.
+    """(phi_ddot, B_ddot) at the given state, B_ddot the (4, n) block of
+    the four rows' rates in B's dtype.
 
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
 
         phi_ddot = laplacian(phi) + (e^2 B^mu B_mu - m^2) phi
+        B_ddot_0 = D(Bdot_1)
 
-    The spatial rows are kernel.spatial_accel with Phi = phi^2.
+    Row 0 is the divergence-freezing closure of the matter-free flow; with
+    matter the step's solve replaces it.  Rows 1..3 are
+    kernel.spatial_accel with Phi = phi^2.
     """
     g = s.grid
     phi_sq = s.phi * s.phi
@@ -70,11 +75,16 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot = deriv_xx(s.phi, g)
     phi_ddot += mass
 
-    # [D B_1, div B], with div B = dB_0/dt - D B_1
-    first = np.empty((2, g.n), dtype=s.B.dtype)
+    # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1
+    first = np.empty((3, g.n), dtype=s.B.dtype)
     d_b1 = deriv_x(s.B[1], g, out=first[0])
     np.subtract(s.Bdot[0], d_b1, out=first[1])
-    return phi_ddot, spatial_accel(s.B, deriv_x(first, g), phi_sq, p, g)
+    first[2] = s.Bdot[1]
+    dd = deriv_x(first, g)
+    b_ddot = np.empty((4, g.n), dtype=s.B.dtype)
+    b_ddot[0] = dd[2]
+    spatial_accel(s.B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
+    return phi_ddot, b_ddot
 
 
 def step_full(s: FullState, dt: float, p: Params) -> FullState:
@@ -84,8 +94,8 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     phi nonzero anywhere in s (the screened solve is nonsingular in floats
     whenever phi^2 > 0 somewhere on both the even and the odd points), a
     solve replaces rows 0 of each later stage and of the result.  That
-    solve is float64, so a state with matter in any other dtype raises
-    ValueError; a matter-free step keeps the state's dtype.
+    solve is float64, so with matter a field of any other dtype raises
+    ValueError naming it; a matter-free step keeps the state's dtype.
 
     Every stage and the result carry s.charge_mean unchanged.  Stage 1 is s
     as given, so a hand-built s off the constraint surface (or with a
@@ -95,10 +105,11 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     """
     g, qbar = s.grid, s.charge_mean
     matter = bool(np.any(s.phi))
-    dtype = np.result_type(*(arr for _, arr in s.field_arrays()))
-    if matter and dtype != np.float64:
-        raise ValueError(f"a state with matter steps in float64, the precision of "
-                         f"its B_0 solve; got dtype {dtype}")
+    if matter:
+        for name, arr in s.field_arrays():
+            if arr.dtype != np.float64:
+                raise ValueError(f"a state with matter steps in float64, the precision "
+                                 f"of its B_0 solve; got {name} of dtype {arr.dtype}")
 
     def state(t, phi, phidot, B, Bdot):
         if matter:
@@ -109,8 +120,7 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     def rhs(t, phi, phidot, B, Bdot):
         # stage 1 is the incoming state itself: rk4 passes its arrays
         stage = s if phi is s.phi else state(t, phi, phidot, B, Bdot)
-        phi_ddot, b_ddot_i = accel_full(stage, p)
-        b_ddot = np.concatenate([deriv_x(stage.Bdot[1], g)[None, :], b_ddot_i])
+        phi_ddot, b_ddot = accel_full(stage, p)
         return stage.phidot, phi_ddot, stage.Bdot, b_ddot
 
     out = state(s.t + dt, *rk4(rhs, s.t, (s.phi, s.phidot, s.B, s.Bdot), dt))

@@ -147,13 +147,16 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
     a = 0.25 / (g.h * g.h)
     projected = charge is None
     screen = 2.0 * p.e**2 * phi_sq
-    # rows: the even points, then the odd ones, copied contiguous because a
-    # sum over a strided view rounds differently
-    r = np.ascontiguousarray(rhs.reshape(m, 2).T)
-    s = np.ascontiguousarray(screen.reshape(m, 2).T)
-    r_mean, s_mean = r.sum(1) / m, s.sum(1) / m
+    # [r, s], each with rows the even points, then the odd ones, copied
+    # contiguous because a sum over a strided view rounds differently
+    rs = np.empty((2, 2, m))
+    rs[0] = rhs.reshape(m, 2).T
+    rs[1] = screen.reshape(m, 2).T
+    s = rs[1]
+    means = rs.sum(2) / m
+    r_mean, s_mean = means
     ends = np.zeros((2, m))
-    ends[:, [0, -1]] = 1.0
+    ends[:, 0] = ends[:, -1] = 1.0
     # the tridiagonal of both blocks, which do not couple; gtsv overwrites
     # all four arguments, so dl and du are separate arrays
     du = np.full(n - 1, a)
@@ -161,8 +164,7 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
     dl = du.copy()
     d = (-2.0 * a - s - a * ends).ravel()
     cols = np.empty((4, 2, m))
-    np.subtract(r, r_mean[:, None], out=cols[0])
-    np.subtract(s, s_mean[:, None], out=cols[1])
+    np.subtract(rs, means[..., None], out=cols[:2])
     cols[2] = ends
     cols[3] = 1.0
     # z[b, k, j]: block b, point k, right side j
@@ -179,15 +181,19 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
     gain = s_mean + (s * y1).sum(1) / m
     if projected:
         f, gain = f[:1] - f[1:], gain.sum(keepdims=True)
-    free = gain == 0.0
     if not projected:
         rhs = rhs + charge
-    if np.any(np.abs(f[free]) > 1e-12 * float(np.max(np.abs(rhs)))):
-        raise SingularOperator("the screening vanishes on the even or the odd points and "
-                               "the right-hand side breaks that block's mean equation; "
-                               "no periodic solution exists")
-    c = np.zeros_like(f)
-    np.divide(-f, gain, out=c, where=~free)
+    r_max = np.abs(rhs).max()
+    free = gain == 0.0
+    if free.any():
+        if (np.abs(f[free]) > 1e-12 * r_max).any():
+            raise SingularOperator("the screening vanishes on the even or the odd points and "
+                                   "the right-hand side breaks that block's mean equation; "
+                                   "no periodic solution exists")
+        c = np.zeros_like(f)
+        np.divide(-f, gain, out=c, where=~free)
+    else:
+        c = -f / gain
     if projected:
         c = np.concatenate([c, -c])
     x = (y0 + c[:, None] * (1.0 + y1)).T.ravel()
@@ -195,13 +201,15 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
     # normwise backward error: forming K x alone costs about eps ||K|| ||x||,
     # and ||K||_inf = 1/h^2 (D(D .), absent at n = 2) + max(screen) grows
     # like n^2, so a gate scaled to rhs alone fails sound solves on fine grids
-    resid = deriv_x(deriv_x(x, g), g) - screen * x - rhs
+    resid = deriv_x(deriv_x(x, g), g)
+    resid -= screen * x
+    resid -= rhs
     if projected:
         resid -= resid.mean()
-    k_norm = (0.0 if n == 2 else 1.0 / (g.h * g.h)) + float(np.max(screen))
-    scale = max(k_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))), 1e-300)
-    backward = float(np.max(np.abs(resid))) / scale
-    if not (np.all(np.isfinite(x)) and backward <= 1e-14):
+    k_norm = (0.0 if n == 2 else 1.0 / (g.h * g.h)) + screen.max()
+    scale = max(k_norm * np.abs(x).max() + r_max, 1e-300)
+    backward = np.abs(resid).max() / scale
+    if not (np.isfinite(x).all() and backward <= 1e-14):
         label = "projected constraint residual" if projected else "screened solve residual"
         raise SimulationError(f"{label}: normwise backward error {backward:.3e} exceeds 1e-14")
     return x
@@ -282,12 +290,17 @@ def solve_gauss_rate(
     Bdot_0 - D(B_1) at zero.
     """
     phi = np.asarray(phi, dtype=float)
-    shift = -np.frexp(np.max(np.abs(phi)))[1]
+    shift = -np.frexp(np.abs(phi).max())[1]
     phi, phidot = np.ldexp(phi, shift), np.ldexp(np.asarray(phidot, dtype=float), shift)
     phi_sq = phi * phi
-    d_b1 = deriv_x(np.asarray(b1, dtype=float), g)
-    numer = deriv_x(b1 * phi_sq, g) - np.asarray(b0, dtype=float) * (2.0 * phi * phidot)
-    out = d_b1.copy()
+    b1 = np.asarray(b1, dtype=float)
+    # D(B_1 Phi) - B_0 Phidot, formed in place
+    numer = deriv_x(b1 * phi_sq, g)
+    term = 2.0 * phi
+    term *= phidot
+    term *= np.asarray(b0, dtype=float)
+    numer -= term
+    out = deriv_x(b1, g)
     np.divide(numer, phi_sq, out=out, where=phi_sq != 0.0)
     return out
 

@@ -15,10 +15,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kgmlab import scenarios
+from kgmlab import full, kernel, scenarios
 from kgmlab.diagnostics import snapshot_extras
 from kgmlab.full import accel_full, run_full, step_full
-from kgmlab.kernel import B0_FLOOR, FullState, Grid1D, GuardViolation, NonFinite, Params, comb_dt
+from kgmlab.kernel import (
+    B0_FLOOR,
+    FullState,
+    Grid1D,
+    GuardViolation,
+    NonFinite,
+    Params,
+    comb_dt,
+    deriv_x,
+)
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -40,9 +49,11 @@ def test_accel_vacuum_offset_all_zero():
     g = Grid1D(n=32)
     p = Params()
     s = make_scenario(default_scenario("vacuum-offset"), p, g)
-    phi_ddot, b_ddot_i = accel_full(s, p)
+    phi_ddot, b_ddot = accel_full(s, p)
     assert np.max(np.abs(phi_ddot)) == 0.0
-    assert np.max(np.abs(b_ddot_i)) == 0.0
+    assert b_ddot.shape == (4, g.n)
+    assert_array_equal(b_ddot[0], deriv_x(s.Bdot[1], g))
+    assert np.max(np.abs(b_ddot)) == 0.0
 
 
 def test_accel_uniform_phi_mass_oscillation():
@@ -59,21 +70,27 @@ def test_accel_uniform_phi_mass_oscillation():
         phi=np.full(g.n, phi0),
         phidot=np.zeros(g.n),
     )
-    phi_ddot, b_ddot_i = accel_full(s, p)
+    phi_ddot, b_ddot = accel_full(s, p)
     assert_allclose(phi_ddot, -p.m**2 * phi0, rtol=0, atol=1e-15)
-    assert np.max(np.abs(b_ddot_i)) == 0.0
+    assert b_ddot.shape == (4, g.n)
+    assert_array_equal(b_ddot[0], deriv_x(s.Bdot[1], g))
+    assert np.max(np.abs(b_ddot)) == 0.0
 
 
 def test_accel_matches_finite_difference_of_stepper():
     # centered second difference of two tiny steps recovers the
-    # accelerations; measured relative error 2.3e-8 at delta=2e-4
+    # accelerations; measured relative error 2.3e-8 at delta=2e-4.  Row 0
+    # of the block is the matter-free closure D(Bdot_1), which a step with
+    # matter replaces by its solve
     g = Grid1D(n=128)
     p = Params()
     s = make_scenario(default_scenario("matter-packet"), p, g)
     delta = 2e-4
     fwd = step_full(s, delta, p)
     bwd = step_full(s, -delta, p)
-    phi_ddot, b_ddot_i = accel_full(s, p)
+    phi_ddot, b_ddot = accel_full(s, p)
+    assert_array_equal(b_ddot[0], deriv_x(s.Bdot[1], g))
+    b_ddot_i = b_ddot[1:]
 
     fd_phi = (fwd.phi - 2.0 * s.phi + bwd.phi) / delta**2
     fd_b = (fwd.B[1:] - 2.0 * s.B[1:] + bwd.B[1:]) / delta**2
@@ -154,46 +171,59 @@ def test_step_leaves_its_input_unmodified(scenario):
         assert not np.shares_memory(getattr(out, name), getattr(s, name))
 
 
-@pytest.mark.parametrize("scenario, solves", [("matter-packet", 8), ("pure-gauge-wave", 0)],
+@pytest.mark.parametrize("scenario, solves, stencils",
+                         [("matter-packet", 8, 56), ("pure-gauge-wave", 0, 16)],
                          ids=["matter-packet", "pure-gauge-wave"])
-def test_step_matter_solves_each_slice_once(monkeypatch, scenario, solves):
+def test_step_matter_solves_each_slice_once(monkeypatch, scenario, solves, stencils):
     # stage 1 is the incoming state, already solved: with matter, stages 2-4
     # and the result make 4 constraint and 4 rate solves per step; the
-    # matter-free step makes none
+    # matter-free step makes none.  Each stage makes 2 deriv_x calls in
+    # accel_full, and each solved slice 3 in the constraint solve and 2 in
+    # the rate: 28 per step with matter, 8 without
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
-    calls = {"solve_gauss_constraint": 0, "solve_gauss_rate": 0}
+    calls = {"solve_gauss_constraint": 0, "solve_gauss_rate": 0, "deriv_x": 0}
 
-    def counted(name):
-        solve = getattr(scenarios, name)
+    def counted(module, name):
+        func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return solve(*args, **kwargs)
+            return func(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(scenarios, name, counted(name))
+    for name in ("solve_gauss_constraint", "solve_gauss_rate"):
+        monkeypatch.setattr(scenarios, name, counted(scenarios, name))
+    for module in (kernel, full, scenarios):
+        monkeypatch.setattr(module, "deriv_x", counted(module, "deriv_x"))
     for _ in range(2):
         s = step_full(s, 0.5 * g.h, p)
-    assert calls == {"solve_gauss_constraint": solves, "solve_gauss_rate": solves}
+    assert calls == {"solve_gauss_constraint": solves, "solve_gauss_rate": solves,
+                     "deriv_x": stencils}
 
 
 def widened(s: FullState) -> FullState:
     return replace(s, **{name: arr.astype(np.longdouble) for name, arr in s.field_arrays()})
 
 
-@pytest.mark.skipif(np.dtype(np.longdouble) == np.float64,
-                    reason="np.longdouble is float64 on this platform")
 def test_step_with_matter_refuses_longdouble():
     # the B_0 solve is float64 LAPACK, so a longdouble state with matter
     # would step in mixed precision: its B_0 matched the float64 step to
-    # 1.1e-16 while its arrays claimed longdouble
+    # 1.1e-16 while its arrays claimed longdouble.  A float32 phi or phidot
+    # got past a guard on the fields' common dtype, float64 through B, and
+    # stepped phi, phidot and every stage in float32: one step left B_0
+    # 4.4e-8 (phi) and 5.8e-9 (phidot) from the float64 step
     g, p = Grid1D(n=64), Params()
-    s = widened(make_scenario(default_scenario("matter-packet"), p, g))
-    with pytest.raises(ValueError, match=f"dtype {np.dtype(np.longdouble)}"):
-        step_full(s, 0.5 * g.h, p)
+    s = make_scenario(default_scenario("matter-packet"), p, g)
+    cases = [("phi", replace(s, phi=s.phi.astype(np.float32))),
+             ("phidot", replace(s, phidot=s.phidot.astype(np.float32)))]
+    # the longdouble case only where longdouble is wider than float64
+    if np.dtype(np.longdouble) != np.float64:
+        cases.append(("B", widened(s)))
+    for name, bad in cases:
+        with pytest.raises(ValueError, match=f"{name} of dtype {getattr(bad, name).dtype}"):
+            step_full(bad, 0.5 * g.h, p)
 
 
 @pytest.mark.parametrize("scenario", ["pure-gauge-wave", "vacuum-offset"])

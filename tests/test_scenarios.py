@@ -38,6 +38,7 @@ from kgmlab.scenarios import (
     SingularOperator,
     default_scenario,
     make_scenario,
+    slice_state,
     solve_gauss_constraint,
     solve_gauss_rate,
 )
@@ -160,6 +161,29 @@ def test_rate_solve_is_scale_free(power):
     got = solve_gauss_rate(np.ldexp(s.phi, power), np.ldexp(phidot, power),
                            s.B[0], s.B[1], p, g)
     assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("solve", ["constraint-projected", "constraint-pinned", "rate",
+                                   "slice-projected", "slice-pinned"])
+def test_public_solves_leave_their_inputs_alone(solve):
+    # the solves form their results with in-place arithmetic, none of it on
+    # a caller's array; a stepped slice has a nonzero phidot
+    g = Grid1D(n=64)
+    p = Params()
+    s = step_full(make_scenario(default_scenario("matter-packet"), p, g), 0.5 * g.h, p)
+    qbar = s.charge_mean
+    func, args, kwargs = {
+        "constraint-projected": (solve_gauss_constraint, (s.phi, s.Bdot[1:]), dict(offset=1.0)),
+        "constraint-pinned": (solve_gauss_constraint, (s.phi, s.Bdot[1:]), dict(charge_mean=qbar)),
+        "rate": (solve_gauss_rate, (s.phi, s.phidot, s.B[0], s.B[1]), {}),
+        "slice-projected": (lambda *a, **k: slice_state(s.t, *a, **k),
+                            (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dict(offset=1.0)),
+        "slice-pinned": (lambda *a, **k: slice_state(s.t, *a, **k),
+                         (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dict(charge_mean=qbar)),
+    }[solve]
+    before = [arr.tobytes() for arr in args]
+    func(*args, p, g, **kwargs)
+    assert [arr.tobytes() for arr in args] == before
 
 
 def test_make_scenario_vacuum_offset_exact():
