@@ -152,6 +152,8 @@ class PolySystem:
 
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
+        if np.shape(x) != (self.k,):
+            raise ValueError(f"x must have shape ({self.k},), got {np.shape(x)}")
         coefs, factors, scatter = self._table
         padded = np.empty(self.k + 1, dtype=complex)
         padded[:-1] = x

@@ -53,7 +53,7 @@ __all__ = ["accel_full", "run_full", "step_full"]
 
 def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     """(phi_ddot, B_ddot) at the given state, B_ddot the (4, n) block of
-    the four rows' rates in B's dtype.
+    the four rows' rates in the common dtype of B and Bdot.
 
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
@@ -76,14 +76,17 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot += mass
 
     # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1
-    first = np.empty((3, g.n), dtype=s.B.dtype)
-    d_b1 = deriv_x(s.B[1], g, out=first[0])
+    # in the wider of B's and Bdot's dtypes, so neither rate is rounded
+    dtype = np.result_type(s.B, s.Bdot)
+    B = s.B.astype(dtype, copy=False)
+    first = np.empty((3, g.n), dtype=dtype)
+    d_b1 = deriv_x(B[1], g, out=first[0])
     np.subtract(s.Bdot[0], d_b1, out=first[1])
     first[2] = s.Bdot[1]
     dd = deriv_x(first, g)
-    b_ddot = np.empty((4, g.n), dtype=s.B.dtype)
+    b_ddot = np.empty((4, g.n), dtype=dtype)
     b_ddot[0] = dd[2]
-    spatial_accel(s.B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
+    spatial_accel(B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
     return phi_ddot, b_ddot
 
 

@@ -185,15 +185,12 @@ def _screened_solve(phi_sq: Array, rhs: Array, p: Params, g: Grid1D,
         rhs = rhs + charge
     r_max = np.abs(rhs).max()
     free = gain == 0.0
-    if free.any():
-        if (np.abs(f[free]) > 1e-12 * r_max).any():
-            raise SingularOperator("the screening vanishes on the even or the odd points and "
-                                   "the right-hand side breaks that block's mean equation; "
-                                   "no periodic solution exists")
-        c = np.zeros_like(f)
-        np.divide(-f, gain, out=c, where=~free)
-    else:
-        c = -f / gain
+    if free.any() and (np.abs(f[free]) > 1e-12 * r_max).any():
+        raise SingularOperator("the screening vanishes on the even or the odd points and "
+                               "the right-hand side breaks that block's mean equation; "
+                               "no periodic solution exists")
+    c = np.zeros_like(f)
+    np.divide(-f, gain, out=c, where=~free)
     if projected:
         c = np.concatenate([c, -c])
     x = (y0 + c[:, None] * (1.0 + y1)).T.ravel()

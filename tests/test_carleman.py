@@ -600,6 +600,14 @@ def test_polynomialize_matches_integrator_pointwise():
     assert np.max(np.abs(rhs[32:36] - reconstruct_phi_dot(s, Phi))) <= 1e-13
 
 
+def test_rhs_refuses_a_point_of_the_wrong_shape():
+    # a scalar or length-1 point would otherwise broadcast into every slot
+    sys = polynomialize_reduced(Grid1D(n=2), Params())
+    for x in (0.5, np.ones(1), np.ones(sys.k + 1), np.ones((sys.k, 1))):
+        with pytest.raises(ValueError, match=f"shape \\({sys.k},\\)"):
+            sys.rhs(x)
+
+
 def test_polynomialize_manifold_invariant():
     # the reciprocal constraint is an invariant manifold of the emitted
     # flow; classical integration must not drift off (measured 1.6e-12)

@@ -229,14 +229,19 @@ def test_step_with_matter_refuses_longdouble():
 @pytest.mark.parametrize("scenario", ["pure-gauge-wave", "vacuum-offset"])
 def test_step_matter_free_keeps_longdouble(scenario):
     # no solve, so every field steps in longdouble; measured 2.2e-16 from the
-    # float64 step on the gauge wave, exactly 0 on the static vacuum
+    # float64 step on the gauge wave, exactly 0 on the static vacuum.  With
+    # one of B and Bdot left float64 the rates still take the wider dtype: a
+    # rate block in B's dtype rounded a float64 B's Bdot rate to float64, and
+    # the step gave back a float64 B
     g, p = Grid1D(n=64), Params()
     s = make_scenario(default_scenario(scenario), p, g)
     narrow = step_full(s, 0.5 * g.h, p)
-    wide = step_full(widened(s), 0.5 * g.h, p)
-    for name, arr in wide.field_arrays():
-        assert arr.dtype == np.longdouble, name
-        assert_allclose(arr, getattr(narrow, name), rtol=0.0, atol=1e-14)
+    wide = widened(s)
+    for state in (wide, replace(wide, B=s.B), replace(wide, Bdot=s.Bdot)):
+        assert accel_full(state, p)[1].dtype == np.longdouble
+        for name, arr in step_full(state, 0.5 * g.h, p).field_arrays():
+            assert arr.dtype == np.longdouble, name
+            assert_allclose(arr, getattr(narrow, name), rtol=0.0, atol=1e-14)
 
 
 def test_step_guard_violation_below_floor():
