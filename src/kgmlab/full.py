@@ -75,8 +75,8 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot = deriv_xx(s.phi, g)
     phi_ddot += mass
 
-    # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1
-    # in the wider of B's and Bdot's dtypes, so neither rate is rounded
+    # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1, in the wider of
+    # B's and Bdot's dtypes so that neither rate is rounded
     dtype = np.result_type(s.B, s.Bdot)
     B = s.B.astype(dtype, copy=False)
     first = np.empty((3, g.n), dtype=dtype)
