@@ -37,7 +37,7 @@ from .carleman import (
     tiny_reduced_embedding,
 )
 from .diagnostics import compare, observed_order
-from .kernel import SimulationError
+from .kernel import COMB_FRACTION, SimulationError
 from .run import (
     CONFIG_KEYS,
     LADDER_SIZES,
@@ -86,10 +86,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _warn_if_coarse(cfg: RunConfig) -> float:
-    """cfg's step, after a warning on stderr when it exceeds 0.5 h."""
+    """cfg's step, after a warning on stderr when it exceeds COMB_FRACTION * h."""
     dt = cfg.resolved_dt()
-    if abs(dt) > 0.5 * cfg.grid.h + 1e-15:
-        print(f"warning: dt={dt:g} exceeds the stable comb 0.5*h={0.5 * cfg.grid.h:g}; "
+    comb = COMB_FRACTION * cfg.grid.h
+    if abs(dt) > comb + 1e-15:
+        print(f"warning: dt={dt:g} exceeds the stable comb {COMB_FRACTION:g}*h={comb:g}; "
               "expect accuracy and stability loss", file=sys.stderr)
     return dt
 
@@ -143,7 +144,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             # a repeated level would run twice and leave every order undefined
             raise ConfigError(f"--levels: grid size {n} appears more than once")
 
-    # each level runs on its own comb step, which never exceeds 0.5 h
+    # each level runs on its own comb step, which never exceeds COMB_FRACTION * h
     results = [ladder_level(replace(cfg, grid=g, dt=0.0))[0] for g in grids]
 
     out_dir = Path(cfg.out_dir)
@@ -262,7 +263,7 @@ _RUN_FLAGS = {
                                     "(default matter-packet)"),
     "--n": ("grid.n", "grid points (power of two, default 256)"),
     "--length": ("grid.length", "domain length (default 2*pi)"),
-    "--dt": ("time.dt", "time step; 0 or omitted derives the 0.5*h comb step"),
+    "--dt": ("time.dt", f"time step; 0 or omitted derives the {COMB_FRACTION:g}*h comb step"),
     "--t-end": ("time.t_end", "end time (default 1.0)"),
     "--every": ("output.every", "snapshot stride in steps (default 1)"),
     "--out": ("output.dir", "output directory (default 'out')"),

@@ -53,7 +53,7 @@ __all__ = ["accel_full", "run_full", "step_full"]
 
 def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     """(phi_ddot, B_ddot) at the given state, B_ddot the (4, n) block of
-    the four rows' rates in the common dtype of B and Bdot.
+    the four rows' rates.
 
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
@@ -75,18 +75,15 @@ def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
     phi_ddot = deriv_xx(s.phi, g)
     phi_ddot += mass
 
-    # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1, in the wider of
-    # B's and Bdot's dtypes so that neither rate is rounded
-    dtype = np.result_type(s.B, s.Bdot)
-    B = s.B.astype(dtype, copy=False)
-    first = np.empty((3, g.n), dtype=dtype)
-    d_b1 = deriv_x(B[1], g, out=first[0])
+    # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1
+    first = np.empty((3, g.n))
+    d_b1 = deriv_x(s.B[1], g, out=first[0])
     np.subtract(s.Bdot[0], d_b1, out=first[1])
     first[2] = s.Bdot[1]
     dd = deriv_x(first, g)
-    b_ddot = np.empty((4, g.n), dtype=dtype)
+    b_ddot = np.empty((4, g.n))
     b_ddot[0] = dd[2]
-    spatial_accel(B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
+    spatial_accel(s.B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
     return phi_ddot, b_ddot
 
 
@@ -96,9 +93,7 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     All ten fields step through one rk4 call.  With matter, that is with
     phi nonzero anywhere in s (the screened solve is nonsingular in floats
     whenever phi^2 > 0 somewhere on both the even and the odd points), a
-    solve replaces rows 0 of each later stage and of the result.  That
-    solve is float64, so with matter a field of any other dtype raises
-    ValueError naming it; a matter-free step keeps the state's dtype.
+    solve replaces rows 0 of each later stage and of the result.
 
     Every stage and the result carry s.charge_mean unchanged.  Stage 1 is s
     as given, so a hand-built s off the constraint surface (or with a
@@ -108,11 +103,6 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     """
     g, qbar = s.grid, s.charge_mean
     matter = bool(np.any(s.phi))
-    if matter:
-        for name, arr in s.field_arrays():
-            if arr.dtype != np.float64:
-                raise ValueError(f"a state with matter steps in float64, the precision "
-                                 f"of its B_0 solve; got {name} of dtype {arr.dtype}")
 
     def state(t, phi, phidot, B, Bdot):
         if matter:

@@ -185,7 +185,7 @@ def lorentz_dot(u: Array, v: Array) -> Array:
 
 
 def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
-                  out: Array | None = None) -> Array:
+                  out: Array) -> Array:
     """Spatial rows (3, n) of box(B_i) - d_i(div B) = -2 e^2 B_i Phi, the
     vector-field equation both integrators share:
 
@@ -196,9 +196,8 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
     deriv_x call on [D B_1, div B] with div B = dB_0/dt - D B_1, and the
     intensity Phi = phi^2, carried (full) or reconstructed (reduced).
 
-    The rows are allocated with B's dtype.  With out=, a (3, n) array of
-    that dtype such as rows 1..3 of the caller's (4, n) block, the rows are
-    written there and out is returned.
+    The rows are written into out, a (3, n) array such as rows 1..3 of the
+    caller's (4, n) block, and out is returned.
 
     B_1's second derivative is the composed stencil D(D .), not the compact
     laplacian: the same composition appears inside D(div B), in the
@@ -208,8 +207,6 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
     B_0 sector).  The transverse rows have no such pairing partner and keep
     the compact stencil.
     """
-    if out is None:
-        out = np.empty((3, g.n), dtype=B.dtype)
     np.add(dd[0], dd[1], out=out[0])
     deriv_xx(B[2:], g, out=out[1:])
     screen = np.multiply(2.0 * p.e**2, B[1:])
@@ -232,8 +229,8 @@ class ReducedState:
     """Potential-only state: covariant B_mu and their first time derivatives.
 
     B and Bdot are arrays of shape (4, n); row 0 is the time component.
-    A floating dtype is kept (np.longdouble stays np.longdouble); any other
-    input is cast to float64, as the stencils do.
+    They are cast to their common floating dtype (integers to float64) when
+    the state is built, and every stage and rate of a step follows it.
 
     charge_mean is the grid mean of B_0*Phi, the total charge density
     divided by the domain volume.  On a periodic domain the zero mode of
@@ -250,8 +247,9 @@ class ReducedState:
     charge_mean: float = 0.0
 
     def __post_init__(self) -> None:
-        self.B = _floating(self.B)
-        self.Bdot = _floating(self.Bdot)
+        B, Bdot = _floating(self.B), _floating(self.Bdot)
+        dtype = np.promote_types(B.dtype, Bdot.dtype)
+        self.B, self.Bdot = B.astype(dtype, copy=False), Bdot.astype(dtype, copy=False)
         _as_field_block("B", self.B, self.grid.n)
         _as_field_block("Bdot", self.Bdot, self.grid.n)
 
@@ -284,17 +282,24 @@ class ReducedState:
 
 @dataclass
 class FullState(ReducedState):
-    """Reduced state plus the explicit scalar field and its time derivative."""
+    """Reduced state plus the explicit scalar field and its time derivative.
+
+    Every field is float64 (integers are cast), the precision of the B_0
+    solve; a field of another floating dtype raises ValueError naming it.
+    """
 
     phi: Array = field(default=None)  # type: ignore[assignment]
     phidot: Array = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.phi is None or self.phidot is None:
             raise ValueError("FullState requires phi and phidot")
-        self.phi = _floating(self.phi)
-        self.phidot = _floating(self.phidot)
+        for name, arr in self.field_arrays():
+            arr = _floating(arr)
+            if arr.dtype != np.float64:
+                raise ValueError(f"a FullState is float64; got {name} of dtype {arr.dtype}")
+            setattr(self, name, arr)
+        super().__post_init__()
         for name, arr in (("phi", self.phi), ("phidot", self.phidot)):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have shape ({self.grid.n},), got {arr.shape}")
@@ -375,12 +380,16 @@ def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array
     return tuple(out)
 
 
+# the step comb's ceiling, as a fraction of the grid spacing h
+COMB_FRACTION = 0.5
+
+
 def comb_dt(t_end: float, g: Grid1D) -> float:
-    """The stable step comb: the largest dt <= h/2 that lands exactly on
-    t_end (h/2 itself when t_end = 0)."""
+    """The stable step comb: the largest dt <= COMB_FRACTION * h that lands
+    exactly on t_end (COMB_FRACTION * h itself when t_end = 0)."""
     if t_end == 0.0:
-        return 0.5 * g.h
-    return t_end / math.ceil(abs(t_end) / (0.5 * g.h))
+        return COMB_FRACTION * g.h
+    return t_end / math.ceil(abs(t_end) / (COMB_FRACTION * g.h))
 
 
 def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,

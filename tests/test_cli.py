@@ -26,7 +26,7 @@ from kgmlab.cli import (
     read_snapshot,
     write_snapshot,
 )
-from kgmlab.kernel import FullState, Grid1D, Params, ReducedState
+from kgmlab.kernel import COMB_FRACTION, FullState, Grid1D, Params, ReducedState
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -121,7 +121,7 @@ def test_config_comb_step_covers_t_end_exactly():
     cfg = RunConfig.parse("grid.n = 64\ntime.t_end = 0.2\n")
     g = cfg.grid
     dt = cfg.resolved_dt()
-    assert dt <= 0.5 * g.h + 1e-15
+    assert dt <= COMB_FRACTION * g.h + 1e-15
     steps = round(cfg.t_end / dt)
     assert steps * dt == pytest.approx(cfg.t_end, abs=1e-12)
 

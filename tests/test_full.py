@@ -207,41 +207,26 @@ def widened(s: FullState) -> FullState:
     return replace(s, **{name: arr.astype(np.longdouble) for name, arr in s.field_arrays()})
 
 
-def test_step_with_matter_refuses_longdouble():
-    # the B_0 solve is float64 LAPACK, so a longdouble state with matter
-    # would step in mixed precision: its B_0 matched the float64 step to
-    # 1.1e-16 while its arrays claimed longdouble.  A float32 phi or phidot
-    # got past a guard on the fields' common dtype, float64 through B, and
-    # stepped phi, phidot and every stage in float32: one step left B_0
-    # 4.4e-8 (phi) and 5.8e-9 (phidot) from the float64 step
+def test_full_state_refuses_a_float_other_than_float64():
+    # the B_0 solve is float64 LAPACK: a longdouble state with matter would
+    # step in mixed precision, its B_0 within 1.1e-16 of the float64 step,
+    # and a float32 phi or phidot would step every stage in float32, one
+    # step leaving B_0 4.4e-8 (phi) and 5.8e-9 (phidot) from the float64
+    # step.  The state refuses such a field when built, by the name given
     g, p = Grid1D(n=64), Params()
     s = make_scenario(default_scenario("matter-packet"), p, g)
-    cases = [("phi", replace(s, phi=s.phi.astype(np.float32))),
-             ("phidot", replace(s, phidot=s.phidot.astype(np.float32)))]
-    # the longdouble case only where longdouble is wider than float64
+    cases = [("phi", lambda: replace(s, phi=s.phi.astype(np.float32)), np.float32),
+             ("phidot", lambda: replace(s, phidot=s.phidot.astype(np.float32)), np.float32)]
+    # the longdouble cases only where longdouble is wider than float64; a
+    # longdouble Bdot beside a float64 B is named as Bdot, not as the B the
+    # two would promote to
     if np.dtype(np.longdouble) != np.float64:
-        cases.append(("B", widened(s)))
-    for name, bad in cases:
-        with pytest.raises(ValueError, match=f"{name} of dtype {getattr(bad, name).dtype}"):
-            step_full(bad, 0.5 * g.h, p)
-
-
-@pytest.mark.parametrize("scenario", ["pure-gauge-wave", "vacuum-offset"])
-def test_step_matter_free_keeps_longdouble(scenario):
-    # no solve, so every field steps in longdouble; measured 2.2e-16 from the
-    # float64 step on the gauge wave, exactly 0 on the static vacuum.  With
-    # one of B and Bdot left float64 the rates still take the wider dtype: a
-    # rate block in B's dtype rounded a float64 B's Bdot rate to float64, and
-    # the step gave back a float64 B
-    g, p = Grid1D(n=64), Params()
-    s = make_scenario(default_scenario(scenario), p, g)
-    narrow = step_full(s, 0.5 * g.h, p)
-    wide = widened(s)
-    for state in (wide, replace(wide, B=s.B), replace(wide, Bdot=s.Bdot)):
-        assert accel_full(state, p)[1].dtype == np.longdouble
-        for name, arr in step_full(state, 0.5 * g.h, p).field_arrays():
-            assert arr.dtype == np.longdouble, name
-            assert_allclose(arr, getattr(narrow, name), rtol=0.0, atol=1e-14)
+        cases += [("B", lambda: widened(s), np.longdouble),
+                  ("Bdot", lambda: replace(s, Bdot=s.Bdot.astype(np.longdouble)),
+                   np.longdouble)]
+    for name, build, dtype in cases:
+        with pytest.raises(ValueError, match=f"{name} of dtype {np.dtype(dtype)}"):
+            build()
 
 
 def test_step_guard_violation_below_floor():

@@ -298,13 +298,16 @@ def test_state_shape_validation():
 
 
 def test_states_keep_a_floating_dtype():
-    # np.longdouble rows stay np.longdouble; integer rows become float64
+    # a reduced state holds B and Bdot in their common floating dtype, with
+    # integer rows as float64; a full state holds float64, integers included
     g = Grid1D(n=8)
     wide, ints = np.ones((4, g.n), dtype=np.longdouble), np.ones((4, g.n), dtype=int)
-    s = FullState(t=0.0, B=wide, Bdot=ints, grid=g, phi=wide[0], phidot=ints[0])
-    assert s.B.dtype == s.phi.dtype == np.longdouble
-    assert s.Bdot.dtype == s.phidot.dtype == np.float64
-    assert s.to_reduced().B.dtype == np.longdouble
+    s = ReducedState(t=0.0, B=ints, Bdot=wide, grid=g)
+    assert s.B.dtype == s.Bdot.dtype == np.longdouble
+    assert ReducedState(t=0.0, B=ints, Bdot=ints, grid=g).B.dtype == np.float64
+    full = FullState(t=0.0, B=ints, Bdot=ints, grid=g, phi=ints[0], phidot=ints[0])
+    assert all(arr.dtype == np.float64 for _, arr in full.field_arrays())
+    assert full.to_reduced().Bdot.dtype == np.float64
 
 
 def test_b0_floor_guard_reports_location():

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kgmlab.diagnostics import compare, snapshot_extras
@@ -311,6 +313,38 @@ def test_run_keeps_a_longdouble_state(n, bound_b, bound_bdot):
     dist_bdot = float(np.max(np.abs(wide[-1].Bdot - narrow.Bdot)))
     assert 0.0 < dist_b <= bound_b
     assert 0.0 < dist_bdot <= bound_bdot
+
+
+FIELD_DTYPES = {"int": np.int64, "float64": np.float64, "longdouble": np.longdouble}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(b_kind=st.sampled_from(sorted(FIELD_DTYPES)),
+       bdot_kind=st.sampled_from(sorted(FIELD_DTYPES)), seed=st.integers(0, 2**32 - 1))
+def test_state_steps_in_its_fields_common_dtype(b_kind, bdot_kind, seed):
+    # Integer-valued fields, so every kind holds the same values.  A state
+    # built from mixed kinds holds one dtype and steps to the same values as
+    # the state built from arrays already in it; rates formed in a float64
+    # B's dtype put one step of the n = 64 matter packet 7.8e-14 from the
+    # all-longdouble step.  Longdouble compares by value: its padding bytes
+    # are undefined.
+    g, p = Grid1D(n=16), Params()
+    rng = np.random.default_rng(seed)
+    B = rng.integers(-1, 2, size=(4, g.n))
+    B[0] = rng.integers(3, 5, size=g.n)
+    Bdot = rng.integers(-1, 2, size=(4, g.n))
+    dtype = np.dtype(np.longdouble if "longdouble" in (b_kind, bdot_kind) else np.float64)
+
+    def state(b, bdot):
+        return ReducedState(t=0.0, B=b, Bdot=bdot, grid=g, charge_mean=20.0)
+
+    mixed = state(B.astype(FIELD_DTYPES[b_kind]), Bdot.astype(FIELD_DTYPES[bdot_kind]))
+    assert mixed.B.dtype == mixed.Bdot.dtype == dtype
+    got = step_reduced(mixed, 0.5 * g.h, p)
+    want = step_reduced(state(B.astype(dtype), Bdot.astype(dtype)), 0.5 * g.h, p)
+    for name, arr in got.field_arrays():
+        assert arr.dtype == dtype, name
+        assert np.array_equal(arr, getattr(want, name)), name
 
 
 def test_step_reversal_returns_to_start():
