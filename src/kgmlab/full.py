@@ -46,7 +46,7 @@ from .kernel import (
     run_trajectory,
     spatial_accel,
 )
-from .scenarios import slice_state
+from .scenarios import solve_gauss_constraint, solve_gauss_rate
 
 __all__ = ["accel_full", "run_full", "step_full"]
 
@@ -105,8 +105,10 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     matter = bool(np.any(s.phi))
 
     def state(t, phi, phidot, B, Bdot):
+        # B and Bdot are rk4's own arrays of a later stage or of the result
         if matter:
-            return slice_state(t, phi, phidot, B[1:], Bdot[1:], p, g, charge_mean=qbar)
+            B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, charge_mean=qbar)
+            Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
         return FullState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=qbar,
                          phi=phi, phidot=phidot)
 

@@ -75,13 +75,6 @@ def below_phi_floor(Phi: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _guarded_b0(s: ReducedState) -> Array:
-    """B_0 as a safe denominator; check_b0_floor raises, with location and
-    time, where it is not."""
-    s.check_b0_floor()
-    return s.B[0]
-
-
 def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     """Matter intensity from the time-0 wave equation.
 
@@ -102,13 +95,13 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     (frequency ~ 1/h^2) that no explicit step at dt ~ h can resolve.  The
     composed form keeps every branch inside the wave cone.
     """
-    b0 = _guarded_b0(s)
+    s.check_b0_floor()
     g = s.grid
-    return _phi(s, p, b0, deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
+    return _phi(s, p, s.B[0], deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
 
 
 def _phi(s: ReducedState, p: Params, b0: Array, dd_b0: Array, d_bd1: Array) -> Array:
-    """reconstruct_phi given the guarded B_0, D(D B_0) and D(dB_1/dt)."""
+    """reconstruct_phi given B_0 past check_b0_floor, D(D B_0) and D(dB_1/dt)."""
     Phi = dd_b0 - d_bd1
     Phi /= 2.0 * p.e**2
     Phi += s.charge_mean
@@ -129,14 +122,14 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array) -> Array:
     and diagnostics measure the Leibniz defect of exactly this choice.
     """
     g = s.grid
-    b0 = _guarded_b0(s)
+    s.check_b0_floor()
     div_b = s.Bdot[0] - deriv_x(s.B[1], g)
-    return _phi_dot(s, Phi, b0, div_b, deriv_x(Phi, g))
+    return _phi_dot(s, Phi, s.B[0], div_b, deriv_x(Phi, g))
 
 
 def _phi_dot(s: ReducedState, Phi: Array, b0: Array, div_b: Array,
              dPhi: Array) -> Array:
-    """reconstruct_phi_dot given the guarded B_0, div B and D(Phi)."""
+    """reconstruct_phi_dot given B_0 past check_b0_floor, div B and D(Phi)."""
     Phidot = s.B[1] * dPhi
     Phidot -= div_b * Phi
     Phidot /= b0
@@ -167,7 +160,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     b0, b1 = s.B[0], s.B[1]
     bd0, bd1 = s.Bdot[0], s.Bdot[1]
 
-    b0_safe = _guarded_b0(s)
+    s.check_b0_floor()
     # first = [D B_0, D B_1, div B], second = D of each row
     first = np.empty((3, g.n), dtype=s.B.dtype)
     deriv_x(s.B[:2], g, out=first[:2])
@@ -175,9 +168,9 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)
 
-    Phi = _phi(s, p, b0_safe, second[0], d_bd1)
+    Phi = _phi(s, p, b0, second[0], d_bd1)
     dPhi = deriv_x(Phi, g)
-    Phidot = _phi_dot(s, Phi, b0_safe, div_b, dPhi)
+    Phidot = _phi_dot(s, Phi, b0, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
     acc = np.empty((4, g.n), dtype=s.B.dtype)

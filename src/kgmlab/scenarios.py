@@ -324,33 +324,18 @@ def _packet_fields(spec: ScenarioSpec, g: Grid1D) -> tuple[Array, Array]:
     return phi, b_i
 
 
-def slice_state(t: float, phi: Array, phidot: Array, b_i: Array, bdot_i: Array,
-                p: Params, g: Grid1D, offset: float = 0.0,
-                charge_mean: float | None = None) -> FullState:
-    """FullState on one time slice, with B_0 from the constraint and Bdot_0
-    from the rate balance (D(B_1) where there is no matter).
-
-    b_i and bdot_i stack the spatial rows; offset and charge_mean select the
-    constraint's solve mode (see solve_gauss_constraint).  Only projected
-    mode (charge_mean None) forms the charge mean, mean(B_0 Phi) of the
-    solved slice.  Pinned mode carries the charge mean it is given, so a
-    run that pins every slice to its initial charge keeps it bit for bit.
-    """
-    b0 = solve_gauss_constraint(phi, bdot_i, p, g, offset=offset, charge_mean=charge_mean)
-    bdot0 = solve_gauss_rate(phi, phidot, b0, b_i[0], p, g)
-    if charge_mean is None:
-        charge_mean = float(np.mean(b0 * phi * phi))
-    return FullState(t=t, B=np.concatenate([b0[None, :], b_i]),
-                     Bdot=np.concatenate([bdot0[None, :], bdot_i]), grid=g,
-                     charge_mean=charge_mean, phi=phi, phidot=phidot)
-
-
 def make_scenario(spec: ScenarioSpec, p: Params, g: Grid1D) -> FullState:
-    """Assemble a constraint-consistent FullState at t = 0."""
+    """Assemble a constraint-consistent FullState at t = 0.
+
+    Rows 1..3 come from the spec; rows 0 are the projected solve with the
+    spec's offset and its rate, and the charge mean is the one that solve
+    holds, mean(B_0 Phi).
+    """
     n = g.n
-    b_i = np.zeros((3, n))
-    bdot_i = np.zeros((3, n))
+    B = np.zeros((4, n))
+    Bdot = np.zeros((4, n))
     phi = np.zeros(n)
+    phidot = np.zeros(n)
 
     if spec.name == "pure-gauge-wave":
         # gradient of the gauge function c*t - (a/w) sin(w(x - t)): an exact
@@ -358,12 +343,15 @@ def make_scenario(spec: ScenarioSpec, p: Params, g: Grid1D) -> FullState:
         x = g.x()
         w = spec.wavenumber * 2.0 * np.pi / g.length
         a = spec.amplitude * w
-        b_i[0] = -a * np.cos(w * x)
-        bdot_i[0] = -a * w * np.sin(w * x)
+        B[1] = -a * np.cos(w * x)
+        Bdot[1] = -a * w * np.sin(w * x)
     elif spec.name == "matter-packet":
-        phi, b_i = _packet_fields(spec, g)
+        phi, B[1:] = _packet_fields(spec, g)
     # vacuum-offset keeps every field zero but B_0
 
-    state = slice_state(0.0, phi, np.zeros(n), b_i, bdot_i, p, g, offset=spec.offset)
+    B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, offset=spec.offset)
+    Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
+    state = FullState(t=0.0, B=B, Bdot=Bdot, grid=g,
+                      charge_mean=float(np.mean(B[0] * phi * phi)), phi=phi, phidot=phidot)
     state.check_b0_floor(2.0 * B0_FLOOR)
     return state

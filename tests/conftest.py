@@ -57,25 +57,36 @@ def roll_stencils():
 
 
 @pytest.fixture
-def use_roll_stencils(monkeypatch):
-    """Callable that rebinds the reference stencils, for the rest of the
-    test, in every loaded kgmlab namespace holding the package's own.
+def rebind(monkeypatch):
+    """Callable rebind(obj, new) that puts new, for the rest of the test,
+    under every name holding obj in a loaded kgmlab namespace.
 
-    The modules import the stencils by name, so patching kernel alone
-    would leave every caller on the slice forms.
+    The modules import what they use by name, so patching the module that
+    defines obj alone would leave every other caller on obj.
     """
-    pairs = ((kgmlab.kernel.deriv_x, roll_deriv_x),
-             (kgmlab.kernel.deriv_xx, roll_deriv_xx))
 
-    def install() -> None:
+    def install(obj, new) -> None:
+        held = False
         for key, module in list(sys.modules.items()):
             if module is None or not (key == "kgmlab" or key.startswith("kgmlab.")):
                 continue
             for attr, val in list(vars(module).items()):
-                for fast, ref in pairs:
-                    if val is fast:
-                        monkeypatch.setattr(module, attr, ref)
-        assert kgmlab.kernel.deriv_x is roll_deriv_x
+                if val is obj:
+                    monkeypatch.setattr(module, attr, new)
+                    held = True
+        assert held, f"no kgmlab namespace holds {obj!r}"
+
+    return install
+
+
+@pytest.fixture
+def use_roll_stencils(rebind):
+    """Callable that rebinds the reference stencils in place of the
+    package's own, in every kgmlab namespace, for the rest of the test."""
+
+    def install() -> None:
+        rebind(kgmlab.kernel.deriv_x, roll_deriv_x)
+        rebind(kgmlab.kernel.deriv_xx, roll_deriv_xx)
 
     return install
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kgmlab import full, kernel, scenarios
+from kgmlab import kernel, scenarios
 from kgmlab.diagnostics import snapshot_extras
 from kgmlab.full import accel_full, run_full, step_full
 from kgmlab.kernel import (
@@ -157,13 +157,22 @@ def test_step_bit_identical_under_reference_stencils(scenario, use_roll_stencils
     assert fast.charge_mean == ref.charge_mean
 
 
-@pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
-def test_step_leaves_its_input_unmodified(scenario):
+@pytest.mark.parametrize("scenario, scale",
+                         [("matter-packet", None), ("matter-packet", (1.0 + 1e-3, 1.0 - 1e-3)),
+                          ("pure-gauge-wave", None)],
+                         ids=["matter-packet", "matter-packet-off-surface", "pure-gauge-wave"])
+def test_step_leaves_its_input_unmodified(scenario, scale):
     # with matter or without, the step goes through the in-place RK4, whose
-    # first rates are the state's own phidot and Bdot rows
+    # first rates are the state's own phidot and Bdot rows.  The matter
+    # packet's B_0 is its projected solve, about one ulp off the pinned one;
+    # scaling B_0 and Bdot_0 puts the input well off the pinned surface, so
+    # a solve written into stage 1 would show in every row 0
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
+    if scale is not None:
+        s.B[0] *= scale[0]
+        s.Bdot[0] *= scale[1]
     before = s.copy()
     out = step_full(s, 0.5 * g.h, p)
     for name, arr in before.field_arrays():
@@ -174,29 +183,26 @@ def test_step_leaves_its_input_unmodified(scenario):
 @pytest.mark.parametrize("scenario, solves, stencils",
                          [("matter-packet", 8, 56), ("pure-gauge-wave", 0, 16)],
                          ids=["matter-packet", "pure-gauge-wave"])
-def test_step_matter_solves_each_slice_once(monkeypatch, scenario, solves, stencils):
+def test_step_matter_solves_each_slice_once(rebind, scenario, solves, stencils):
     # stage 1 is the incoming state, already solved: with matter, stages 2-4
     # and the result make 4 constraint and 4 rate solves per step; the
     # matter-free step makes none.  Each stage makes 2 deriv_x calls in
     # accel_full, and each solved slice 3 in the constraint solve and 2 in
-    # the rate: 28 per step with matter, 8 without
+    # the rate: 28 per step with matter, 8 without.  Every namespace holding
+    # a counted function is patched, so a caller importing it by name counts
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
     calls = {"solve_gauss_constraint": 0, "solve_gauss_rate": 0, "deriv_x": 0}
 
-    def counted(module, name):
-        func = getattr(module, name)
-
+    def counted(func):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[func.__name__] += 1
             return func(*args, **kwargs)
         return wrapper
 
-    for name in ("solve_gauss_constraint", "solve_gauss_rate"):
-        monkeypatch.setattr(scenarios, name, counted(scenarios, name))
-    for module in (kernel, full, scenarios):
-        monkeypatch.setattr(module, "deriv_x", counted(module, "deriv_x"))
+    for func in (scenarios.solve_gauss_constraint, scenarios.solve_gauss_rate, kernel.deriv_x):
+        rebind(func, counted(func))
     for _ in range(2):
         s = step_full(s, 0.5 * g.h, p)
     assert calls == {"solve_gauss_constraint": solves, "solve_gauss_rate": solves,

@@ -218,6 +218,29 @@ def test_rk4_writes_neither_state_nor_rates():
     assert not any(np.shares_memory(o, a) for o in out for a in (*y, held))
 
 
+def test_rk4_hands_rhs_new_stage_arrays():
+    # stages 2-4 get arrays that are new and rhs's own: none shares memory
+    # with y or with a rate rhs returned earlier, so rhs may write them (as
+    # the full step writes its solved rows 0) and nothing rk4 reads moves
+    y = (np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]))
+    kept = [a.copy() for a in y]
+    returned = []
+
+    def rhs(t, a, b):
+        if a is not y[0]:
+            for arr in (a, b):
+                assert not any(np.shares_memory(arr, old) for old in (*y, *returned))
+            a[0] = 7.0
+        rates = (b, -a)
+        returned.extend(rates)
+        return rates
+
+    rk4(rhs, 0.0, y, 0.1)
+    assert len(returned) == 8
+    for arr, want in zip(y, kept):
+        assert_array_equal(arr, want)
+
+
 def test_stencil_convergence_order_two():
     errs = []
     for n in (64, 128, 256):

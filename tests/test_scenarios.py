@@ -38,7 +38,6 @@ from kgmlab.scenarios import (
     SingularOperator,
     default_scenario,
     make_scenario,
-    slice_state,
     solve_gauss_constraint,
     solve_gauss_rate,
 )
@@ -163,8 +162,7 @@ def test_rate_solve_is_scale_free(power):
     assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("solve", ["constraint-projected", "constraint-pinned", "rate",
-                                   "slice-projected", "slice-pinned"])
+@pytest.mark.parametrize("solve", ["constraint-projected", "constraint-pinned", "rate"])
 def test_public_solves_leave_their_inputs_alone(solve):
     # the solves form their results with in-place arithmetic, none of it on
     # a caller's array; a stepped slice has a nonzero phidot
@@ -176,10 +174,6 @@ def test_public_solves_leave_their_inputs_alone(solve):
         "constraint-projected": (solve_gauss_constraint, (s.phi, s.Bdot[1:]), dict(offset=1.0)),
         "constraint-pinned": (solve_gauss_constraint, (s.phi, s.Bdot[1:]), dict(charge_mean=qbar)),
         "rate": (solve_gauss_rate, (s.phi, s.phidot, s.B[0], s.B[1]), {}),
-        "slice-projected": (lambda *a, **k: slice_state(s.t, *a, **k),
-                            (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dict(offset=1.0)),
-        "slice-pinned": (lambda *a, **k: slice_state(s.t, *a, **k),
-                         (s.phi, s.phidot, s.B[1:], s.Bdot[1:]), dict(charge_mean=qbar)),
     }[solve]
     before = [arr.tobytes() for arr in args]
     func(*args, p, g, **kwargs)
