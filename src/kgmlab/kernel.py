@@ -363,7 +363,7 @@ def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array
 
     Each stage and the update are formed in place in arrays allocated here.
     The arrays of stages 2-4 are new at every call and belong to rhs, which
-    may write them before it returns (the full step solves rows 0 there).
+    may write them before it returns (the full step solves Bdot_0 there).
     A rate may be an array that rhs was given (the B rate of the reduced
     flow is its Bdot, so k1 is the caller's state), so rk4 never writes y
     or a returned rate.

@@ -28,7 +28,14 @@ from kgmlab.kernel import (
     comb_dt,
     deriv_x,
 )
-from kgmlab.scenarios import default_scenario, make_scenario
+from kgmlab.reduced import DegenerateClosure, run_reduced, step_reduced
+from kgmlab.scenarios import (
+    ScenarioSpec,
+    default_scenario,
+    make_scenario,
+    solve_gauss_constraint,
+    solve_gauss_rate,
+)
 
 
 def state_distance(a: FullState, b: FullState) -> float:
@@ -180,16 +187,18 @@ def test_step_leaves_its_input_unmodified(scenario, scale):
         assert not np.shares_memory(getattr(out, name), getattr(s, name))
 
 
-@pytest.mark.parametrize("scenario, solves, stencils",
-                         [("matter-packet", 8, 56), ("pure-gauge-wave", 0, 16)],
+@pytest.mark.parametrize("scenario, constraints, rates, stencils",
+                         [("matter-packet", 2, 8, 38), ("pure-gauge-wave", 0, 0, 16)],
                          ids=["matter-packet", "pure-gauge-wave"])
-def test_step_matter_solves_each_slice_once(rebind, scenario, solves, stencils):
-    # stage 1 is the incoming state, already solved: with matter, stages 2-4
-    # and the result make 4 constraint and 4 rate solves per step; the
+def test_step_projects_the_constraint_once_per_step(rebind, scenario, constraints, rates,
+                                                    stencils):
+    # stage 1 is the incoming state, already projected: with matter, stages
+    # 2-4 keep the B_0 that RK4 forms and solve only its rate, and the
+    # result is projected once, 1 constraint and 4 rate solves per step; the
     # matter-free step makes none.  Each stage makes 2 deriv_x calls in
-    # accel_full, and each solved slice 3 in the constraint solve and 2 in
-    # the rate: 28 per step with matter, 8 without.  Every namespace holding
-    # a counted function is patched, so a caller importing it by name counts
+    # accel_full, each rate 2 and the constraint solve 3: 19 per step with
+    # matter, 8 without.  Every namespace holding a counted function is
+    # patched, so a caller importing it by name counts
     g = Grid1D(n=64)
     p = Params()
     s = make_scenario(default_scenario(scenario), p, g)
@@ -205,8 +214,24 @@ def test_step_matter_solves_each_slice_once(rebind, scenario, solves, stencils):
         rebind(func, counted(func))
     for _ in range(2):
         s = step_full(s, 0.5 * g.h, p)
-    assert calls == {"solve_gauss_constraint": solves, "solve_gauss_rate": solves,
+    assert calls == {"solve_gauss_constraint": constraints, "solve_gauss_rate": rates,
                      "deriv_x": stencils}
+
+
+def test_step_ends_on_the_pinned_constraint_surface():
+    # after many steps the result is its own pinned solve, bit for bit, and
+    # its rate the rate balance's; the charge mean it holds stays within a
+    # few ulps of the carried one (measured 1 ulp after 500 steps)
+    g = Grid1D(n=64)
+    p = Params()
+    s = make_scenario(default_scenario("matter-packet"), p, g)
+    qbar = s.charge_mean
+    for _ in range(500):
+        s = step_full(s, 0.5 * g.h, p)
+    assert s.charge_mean == qbar
+    assert_array_equal(s.B[0], solve_gauss_constraint(s.phi, s.Bdot[1:], p, g, charge_mean=qbar))
+    assert_array_equal(s.Bdot[0], solve_gauss_rate(s.phi, s.phidot, s.B[0], s.B[1], p, g))
+    assert abs(np.mean(s.B[0] * s.phi * s.phi) - qbar) <= 4 * np.spacing(qbar)
 
 
 def widened(s: FullState) -> FullState:
@@ -235,20 +260,19 @@ def test_full_state_refuses_a_float_other_than_float64():
             build()
 
 
-def test_step_guard_violation_below_floor():
+def test_step_runs_below_the_b0_floor_the_reduced_step_refuses():
+    # no full-system equation divides by B_0, so a full step runs on a slice
+    # the reduced step, which reconstructs Phi through a division by B_0,
+    # refuses
     g = Grid1D(n=32)
     p = Params()
-    s = FullState(
-        t=0.0,
-        B=np.full((4, g.n), 0.0) + np.vstack([np.full(g.n, 0.5 * B0_FLOOR), np.zeros((3, g.n))]),
-        Bdot=np.zeros((4, g.n)),
-        grid=g,
-        charge_mean=0.0,
-        phi=np.zeros(g.n),
-        phidot=np.zeros(g.n),
-    )
+    B = np.zeros((4, g.n))
+    B[0] = 0.5 * B0_FLOOR
+    s = FullState(t=0.0, B=B, Bdot=np.zeros((4, g.n)), grid=g, charge_mean=0.0,
+                  phi=np.zeros(g.n), phidot=np.zeros(g.n))
+    assert_array_equal(step_full(s, 0.01, p).B, B)
     with pytest.raises(GuardViolation):
-        step_full(s, 0.01, p)
+        step_reduced(s.to_reduced(), 0.01, p)
 
 
 def test_step_nonfinite_detection():
@@ -308,6 +332,27 @@ def test_run_matter_packet_conservation():
     charges = [ex["charge_mean"] for ex in extras]
     assert charges == [s0.charge_mean] * len(traj)
     assert all(s.to_reduced().charge_mean == s0.charge_mean for s in traj.states)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_run_narrow_packet_through_a_b0_sign_change(n):
+    # a narrow packet drives B_0 through zero (min B_0 reached -1.09 and
+    # -1.56 by t = 1.5); the full run steps through the crossing with its
+    # charge carried and held to a few ulps (measured 2), while the reduced
+    # run's closure fails near t = 0.5
+    g = Grid1D(n=n)
+    p = Params()
+    s0 = make_scenario(ScenarioSpec("matter-packet", amplitude=0.3, width=0.2), p, g)
+    assert np.min(s0.B[0]) > 0.0
+    dt = comb_dt(1.5, g)
+    traj = run_full(s0, dt, 1.5, p)
+    assert min(float(np.min(s.B[0])) for s in traj.states) < 0.0
+    qbar = s0.charge_mean
+    for s in traj.states:
+        assert s.charge_mean == qbar
+        assert abs(np.mean(s.B[0] * s.phi * s.phi) - qbar) <= 4 * np.spacing(qbar)
+    with pytest.raises(DegenerateClosure):
+        run_reduced(s0.to_reduced(), dt, 1.5, p)
 
 
 def test_run_attaches_failing_time():

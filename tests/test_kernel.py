@@ -221,7 +221,7 @@ def test_rk4_writes_neither_state_nor_rates():
 def test_rk4_hands_rhs_new_stage_arrays():
     # stages 2-4 get arrays that are new and rhs's own: none shares memory
     # with y or with a rate rhs returned earlier, so rhs may write them (as
-    # the full step writes its solved rows 0) and nothing rk4 reads moves
+    # the full step writes its solved Bdot_0) and nothing rk4 reads moves
     y = (np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.5, -1.0]))
     kept = [a.copy() for a in y]
     returned = []
