@@ -16,13 +16,14 @@ import numpy as np
 from .kernel import (
     Array,
     FullState,
+    Grid1D,
     Params,
     ReducedState,
     SimulationError,
     Trajectory,
     deriv_x,
 )
-from .reduced import below_phi_floor, reconstruct_phi, reconstruct_phi_dot
+from .reduced import below_phi_floor, intensity_rows
 
 __all__ = [
     "CompareReport",
@@ -50,12 +51,18 @@ class DegenerateInput(SimulationError):
 # ---------------------------------------------------------------------------
 
 
-def _intensity(s: ReducedState, p: Params) -> tuple[Array, Array]:
-    """(Phi, Phidot) for either state flavor."""
-    if isinstance(s, FullState):
-        return s.phi * s.phi, 2.0 * s.phi * s.phidot
-    Phi = reconstruct_phi(s, p)
-    return Phi, reconstruct_phi_dot(s, Phi)
+def _fields(s: ReducedState) -> dict[str, Array]:
+    """One state's field arrays, t and charge_mean: the K-less case of a
+    block of kernel.Trajectory.blocks."""
+    return {"t": s.t, "charge_mean": s.charge_mean, **dict(s.field_arrays())}
+
+
+def _intensity(f: dict[str, Array], p: Params, g: Grid1D) -> tuple[Array, Array]:
+    """(Phi, Phidot) of a state's or a block's fields, for either flavor."""
+    if "phi" in f:
+        phi = f["phi"]
+        return phi * phi, 2.0 * phi * f["phidot"]
+    return intensity_rows(f["B"], f["Bdot"], f["charge_mean"], f["t"], p, g)
 
 
 def total_energy(s: ReducedState, p: Params) -> float:
@@ -78,18 +85,20 @@ def total_energy(s: ReducedState, p: Params) -> float:
     kinetic terms are floored to zero below reduced.PHI_FLOOR.  The grid sum uses
     exactly rounded summation so the result is independent of index origin.
     """
-    return _energy(s, p, *_intensity(s, p))
+    f = _fields(s)
+    return math.fsum(_energy_density(f, p, s.grid, *_intensity(f, p, s.grid))) * s.grid.h
 
 
-def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
-    """total_energy given the state's (Phi, Phidot) from _intensity.
+def _energy_density(f: dict[str, Array], p: Params, g: Grid1D, Phi: Array,
+                    Phidot: Array) -> Array:
+    """total_energy's density rows of a state's or a block's fields, given
+    their (Phi, Phidot) from _intensity.
 
     The mass and coupling terms read Phi for both flavors.  Full states carry
     phi, so only a reduced state's kinetic term reads the pair.
     """
-    g = s.grid
-    b0, b1, b2, b3 = s.B
-    bd1, bd2, bd3 = s.Bdot[1], s.Bdot[2], s.Bdot[3]
+    b0, b1, b2, b3 = f["B"]
+    bd1, bd2, bd3 = f["Bdot"][1:]
 
     em = (
         0.25 * (bd1 - deriv_x(b0, g)) ** 2
@@ -98,15 +107,15 @@ def _energy(s: ReducedState, p: Params, Phi: Array, Phidot: Array) -> float:
     )
 
     coupling_sq = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
-    if isinstance(s, FullState):
-        kinetic = 0.5 * s.phidot**2 + 0.5 * deriv_x(s.phi, g) ** 2
+    if "phi" in f:
+        kinetic = 0.5 * f["phidot"]**2 + 0.5 * deriv_x(f["phi"], g) ** 2
     else:
         kinetic = np.zeros_like(Phi)
         np.divide(Phidot**2 + deriv_x(Phi, g) ** 2, 8.0 * Phi,
                   out=kinetic, where=~below_phi_floor(Phi))
     matter = kinetic + 0.5 * (p.m**2) * Phi + 0.5 * (p.e**2) * coupling_sq * Phi
 
-    return math.fsum(em + matter) * g.h
+    return em + matter
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +136,32 @@ def current_residual(traj: Trajectory, p: Params) -> Array:
 
 
 def _conservation(traj: Trajectory, p: Params) -> tuple[Array, Array]:
-    """(total_energy, current_residual) per snapshot.  Both read one (Phi,
-    Phidot) per snapshot, which is dropped before the next is formed."""
-    states = traj.states
-    K = len(states)
+    """(total_energy, current_residual) per snapshot.
+
+    Both are evaluated on the stacked blocks of kernel.Trajectory.blocks,
+    one numpy pass per block; a block's (Phi, Phidot) is dropped before the
+    next block's is formed.  Each energy row is summed exactly by itself,
+    so every number is bit-identical to its one-state evaluation.
+    """
+    K = len(traj)
     g = traj.grid
     energy = np.empty(K)
     # q holds the charge, differenced across snapshots below; with fewer
     # than three snapshots it holds the state-carried rate instead
     q = np.empty((K, g.n))
     flux = np.empty((K, g.n))
-    for k, s in enumerate(states):
-        Phi, Phidot = _intensity(s, p)
-        energy[k] = _energy(s, p, Phi, Phidot)
-        q[k] = s.B[0] * Phi if K >= 3 else s.Bdot[0] * Phi + s.B[0] * Phidot
-        flux[k] = s.B[1] * Phi
+    for members, f in traj.blocks():
+        Phi, Phidot = _intensity(f, p, g)
+        B, Bdot = f["B"], f["Bdot"]
+        energy[members] = [math.fsum(row) * g.h
+                           for row in _energy_density(f, p, g, Phi, Phidot).tolist()]
+        q[members] = B[0] * Phi if K >= 3 else Bdot[0] * Phi + B[0] * Phidot
+        flux[members] = B[1] * Phi
     dqdt = np.gradient(q, np.asarray(traj.times), axis=0, edge_order=2) if K >= 3 else q
 
-    resid = np.empty(K)
-    for k in range(K):
-        resid[k] = float(np.max(np.abs(dqdt[k] - deriv_x(flux[k], g))))
-    return energy, resid
+    defect = deriv_x(flux, g)
+    np.subtract(dqdt, defect, out=defect)
+    return energy, np.max(np.abs(defect, out=defect), axis=-1)
 
 
 def conservation_defects(traj: Trajectory, p: Params) -> tuple[float, float]:
@@ -220,17 +234,16 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareReport:
 
     K = len(ta)
     scales = np.zeros(4)
-    for traj in (traj_a, traj_b):
-        for s in traj.states:
-            scales = np.maximum(scales, np.max(np.abs(s.B), axis=1))
-    denom = np.where(scales > 0.0, scales, 1.0)
-
     linf = np.zeros((K, 4))
     l2 = np.zeros((K, 4))
-    for k, (sa, sb) in enumerate(zip(traj_a.states, traj_b.states)):
-        diff = sa.B - sb.B
-        linf[k] = np.max(np.abs(diff), axis=1)
-        l2[k] = np.sqrt(np.mean(diff * diff, axis=1))
+    # one pass per pair of stacked blocks; B rows are (4, K, n)
+    for (members, fa), (_, fb) in zip(traj_a.blocks("B"), traj_b.blocks("B")):
+        for B in (fa["B"], fb["B"]):
+            scales = np.maximum(scales, np.max(np.abs(B), axis=(1, 2)))
+        diff = fa["B"] - fb["B"]
+        linf[members] = np.max(np.abs(diff), axis=-1).T
+        l2[members] = np.sqrt(np.mean(diff * diff, axis=-1)).T
+    denom = np.where(scales > 0.0, scales, 1.0)
 
     return CompareReport(times=ta.copy(), scales=scales,
                          linf_rel=linf / denom, l2_rel=l2 / denom)
@@ -275,7 +288,8 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
     """
     g = s.grid
     e2 = p.e**2
-    Phi, Phidot = _intensity(s, p)
+    f = _fields(s)
+    Phi, Phidot = _intensity(f, p, g)
     if isinstance(s, FullState):
         gauss = (
             deriv_x(deriv_x(s.B[0], g), g)
@@ -290,7 +304,7 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
         fallback = float(np.mean(below_phi_floor(Phi)))
     return {
         "t": float(s.t),
-        "energy": _energy(s, p, Phi, Phidot),
+        "energy": math.fsum(_energy_density(f, p, g, Phi, Phidot)) * g.h,
         "constraint_residual": constraint,
         "min_abs_b0": float(np.min(np.abs(s.B[0]))),
         "min_phi": float(np.min(Phi)),

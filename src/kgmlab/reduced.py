@@ -32,12 +32,14 @@ import numpy as np
 
 from .kernel import (
     Array,
+    Grid1D,
     Params,
     ReducedState,
     SimulationError,
     Trajectory,
     deriv_x,
     deriv_xx,
+    guard_b0_floor,
     lorentz_dot,
     rk4,
     run_trajectory,
@@ -48,7 +50,10 @@ __all__ = [
     "DegenerateClosure",
     "PHI_FLOOR",
     "accel_reduced",
+    "accel_rows",
     "below_phi_floor",
+    "identity_rows",
+    "intensity_rows",
     "phi_identity_check",
     "reconstruct_phi",
     "reconstruct_phi_dot",
@@ -96,16 +101,22 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     composed form keeps every branch inside the wave cone.
     """
     s.check_b0_floor()
-    g = s.grid
-    return _phi(s, p, s.B[0], deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
+    return _phi(s.B, s.Bdot, s.charge_mean, p, s.grid)
 
 
-def _phi(s: ReducedState, p: Params, b0: Array, dd_b0: Array, d_bd1: Array) -> Array:
-    """reconstruct_phi given B_0 past check_b0_floor, D(D B_0) and D(dB_1/dt)."""
+def _phi(B: Array, Bdot: Array, qbar: float | Array, p: Params, g: Grid1D,
+         dd_b0: Array | None = None, d_bd1: Array | None = None) -> Array:
+    """reconstruct_phi of field rows past the B_0 floor scan (see
+    intensity_rows for the layouts), given D(D B_0) and D(dB_1/dt) when the
+    caller has them."""
+    if dd_b0 is None:
+        dd_b0 = deriv_x(deriv_x(B[0], g), g)
+    if d_bd1 is None:
+        d_bd1 = deriv_x(Bdot[1], g)
     Phi = dd_b0 - d_bd1
     Phi /= 2.0 * p.e**2
-    Phi += s.charge_mean
-    Phi /= b0
+    Phi += qbar
+    Phi /= B[0]
     return Phi
 
 
@@ -121,24 +132,51 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array) -> Array:
     this is the form whose coefficient structure the closure differentiates,
     and diagnostics measure the Leibniz defect of exactly this choice.
     """
-    g = s.grid
     s.check_b0_floor()
-    div_b = s.Bdot[0] - deriv_x(s.B[1], g)
-    return _phi_dot(s, Phi, s.B[0], div_b, deriv_x(Phi, g))
+    return _phi_dot(s.B, s.Bdot, Phi, s.grid)
 
 
-def _phi_dot(s: ReducedState, Phi: Array, b0: Array, div_b: Array,
-             dPhi: Array) -> Array:
-    """reconstruct_phi_dot given B_0 past check_b0_floor, div B and D(Phi)."""
-    Phidot = s.B[1] * dPhi
+def _phi_dot(B: Array, Bdot: Array, Phi: Array, g: Grid1D,
+             div_b: Array | None = None, dPhi: Array | None = None) -> Array:
+    """reconstruct_phi_dot of field rows past the B_0 floor scan, given
+    div B and D(Phi) when the caller has them."""
+    if div_b is None:
+        div_b = Bdot[0] - deriv_x(B[1], g)
+    if dPhi is None:
+        dPhi = deriv_x(Phi, g)
+    Phidot = B[1] * dPhi
     Phidot -= div_b * Phi
-    Phidot /= b0
+    Phidot /= B[0]
     return Phidot
+
+
+def intensity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
+                   p: Params, g: Grid1D) -> tuple[Array, Array]:
+    """(reconstruct_phi, reconstruct_phi_dot) of field rows, past one B_0
+    floor scan.
+
+    The rows are one state's: B and Bdot of shape (4, n) at time t with
+    charge mean qbar, giving Phi and Phidot of shape (n,).  Or they carry a
+    member axis after the row axis: B and Bdot (4, K, n) of K members at
+    times t (K,) with charge means qbar (K, 1), giving (K, n).  Every
+    operation is elementwise or a stencil along the last axis, so each
+    member's rows are bit-identical to its own one-state call.
+    """
+    guard_b0_floor(B[0], t)
+    Phi = _phi(B, Bdot, qbar, p, g)
+    return Phi, _phi_dot(B, Bdot, Phi, g)
 
 
 def accel_reduced(s: ReducedState, p: Params) -> Array:
     """Second time derivatives of all four field components, as one (4, n)
-    block.
+    block: accel_rows of the state's rows."""
+    return accel_rows(s.B, s.Bdot, s.charge_mean, s.t, p, s.grid)
+
+
+def accel_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
+               p: Params, g: Grid1D) -> Array:
+    """Second time derivatives of field rows (layouts as in intensity_rows),
+    shaped like B.
 
     Elimination order: Phi, then Phidot, then the three spatial
     accelerations (kernel.spatial_accel with the reconstructed Phi), then
@@ -153,28 +191,29 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     the formulas below.
 
     The two quotients by Phi take numpy's masked divide only when some
-    point is below PHI_FLOOR; otherwise a plain divide gives the same bits.
+    point of some member is below PHI_FLOOR; otherwise a plain divide gives
+    the same bits.  The divergence-freezing fallback is judged per member,
+    and DegenerateClosure names the first failing member's t.
     """
-    g = s.grid
     e2 = p.e**2
-    b0, b1 = s.B[0], s.B[1]
-    bd0, bd1 = s.Bdot[0], s.Bdot[1]
+    b0, b1 = B[0], B[1]
+    bd0, bd1 = Bdot[0], Bdot[1]
 
-    s.check_b0_floor()
+    guard_b0_floor(b0, t)
     # first = [D B_0, D B_1, div B], second = D of each row
-    first = np.empty((3, g.n), dtype=s.B.dtype)
-    deriv_x(s.B[:2], g, out=first[:2])
+    first = np.empty((3,) + B.shape[1:], dtype=B.dtype)
+    deriv_x(B[:2], g, out=first[:2])
     div_b = np.subtract(bd0, first[1], out=first[2])
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)
 
-    Phi = _phi(s, p, b0, second[0], d_bd1)
+    Phi = _phi(B, Bdot, qbar, p, g, dd_b0=second[0], d_bd1=d_bd1)
     dPhi = deriv_x(Phi, g)
-    Phidot = _phi_dot(s, Phi, b0, div_b, dPhi)
+    Phidot = _phi_dot(B, Bdot, Phi, g, div_b=div_b, dPhi=dPhi)
     dPhidot = deriv_x(Phidot, g)
 
-    acc = np.empty((4, g.n), dtype=s.B.dtype)
-    spatial_accel(s.B, second[1:], Phi, p, g, out=acc[1:])
+    acc = np.empty_like(B)
+    spatial_accel(B, second[1:], Phi, p, g, out=acc[1:])
 
     # Matter wave equation in Phi.  The quotient term is bounded on the
     # solution manifold (numerator is O(Phi) near zeros of Phi), so below
@@ -190,7 +229,7 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     else:
         quot /= w
     # 2 (e^2 B^mu B_mu - m^2) Phi
-    mass = lorentz_dot(s.B, s.B)
+    mass = lorentz_dot(B, B)
     mass *= e2
     mass -= p.m**2
     mass *= 2.0
@@ -218,13 +257,19 @@ def accel_reduced(s: ReducedState, p: Params) -> Array:
     if any_low:
         # Divergence-freezing fallback is only admissible where the dropped
         # term is small next to the kept one; otherwise the data is outside
-        # the regime the closure can represent.
-        scale = PHI_FLOOR * (1.0 + float(np.max(np.abs(d_bd1))))
-        worst = float(np.max(np.abs(bracket[low])))
-        if worst > scale:
-            j = int(np.argmax(np.abs(np.where(low, bracket, 0.0))))
+        # the regime the closure can represent.  Each member is judged on
+        # its own rows.
+        dropped = np.abs(np.where(low, bracket, 0.0))
+        worst = np.max(dropped, axis=-1)
+        scale = PHI_FLOOR * (1.0 + np.max(np.abs(d_bd1), axis=-1))
+        over = worst > scale
+        if over.any():
+            if over.ndim:
+                k = int(np.argmax(over))
+                dropped, worst, scale, t = dropped[k], worst[k], scale[k], t[k]
+            j = int(np.argmax(dropped))
             raise DegenerateClosure(
-                f"B_0 acceleration undetermined at index {j} (t={s.t:g}): "
+                f"B_0 acceleration undetermined at index {j} (t={t:g}): "
                 f"closure term {worst:.3e} exceeds fallback scale {scale:.3e}"
             )
     return acc
@@ -269,7 +314,16 @@ def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
 
 
 def phi_identity_check(s: ReducedState, B_ddot: Array, p: Params) -> Array:
-    """Pointwise disagreement between two independent intensity formulas.
+    """Pointwise disagreement between two independent intensity formulas:
+    identity_rows of the state's rows."""
+    return identity_rows(s.B, s.Bdot, s.charge_mean, s.t, B_ddot, p, s.grid)
+
+
+def identity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
+                  B_ddot: Array, p: Params, g: Grid1D) -> Array:
+    """Pointwise disagreement between two independent intensity formulas,
+    for field rows and their accelerations B_ddot (layouts as in
+    intensity_rows).
 
     Contracting the full vector wave equation with B^mu gives
     Phi = -B^mu (box B_mu - grad_mu div B) / (2 e^2 B^nu B_nu), valid
@@ -284,27 +338,29 @@ def phi_identity_check(s: ReducedState, B_ddot: Array, p: Params) -> Array:
     any meaningful reading; callers needing the mask can reform it from the
     state.  The background charge mean enters exactly as in reconstruction.
     """
-    g = s.grid
     e2 = p.e**2
-    b0, b1, b2, b3 = s.B
+    b0, b1, b2, b3 = B
 
+    guard_b0_floor(b0, t)
     # Time component: the acceleration cancels against the differentiated
     # divergence, leaving a constraint expression with no second derivative.
-    w0 = deriv_x(s.Bdot[1], g) - deriv_xx(b0, g)
+    d_bdot = deriv_x(Bdot[:2], g)
+    w0 = d_bdot[1] - deriv_xx(b0, g)
     # Spatial x-component: the compact Laplacian absorbs the repeated
     # x-derivative of the divergence gradient.
-    w1 = B_ddot[1] - deriv_x(s.Bdot[0], g)
-    w2 = B_ddot[2] - deriv_xx(b2, g)
-    w3 = B_ddot[3] - deriv_xx(b3, g)
+    w1 = B_ddot[1] - d_bdot[0]
+    lap = deriv_xx(B[2:], g)
+    w2 = B_ddot[2] - lap[0]
+    w3 = B_ddot[3] - lap[1]
 
     contracted = b0 * w0 - b1 * w1 - b2 * w2 - b3 * w3
-    bsq = lorentz_dot(s.B, s.B)
+    bsq = lorentz_dot(B, B)
     low = bsq == 0.0
 
     phi_from_eom = np.zeros_like(bsq)
-    np.divide(-contracted / (2.0 * e2) + b0 * s.charge_mean, bsq,
+    np.divide(-contracted / (2.0 * e2) + b0 * qbar, bsq,
               out=phi_from_eom, where=~low)
 
-    resid = np.abs(phi_from_eom - reconstruct_phi(s, p))
+    resid = np.abs(phi_from_eom - _phi(B, Bdot, qbar, p, g, d_bd1=d_bdot[1]))
     resid[low] = 0.0
     return resid

@@ -23,6 +23,7 @@ import numpy as np
 from .diagnostics import compare, conservation_defects, snapshot_extras
 from .full import run_full
 from .kernel import (
+    B0_FLOOR,
     FullState,
     Grid1D,
     Params,
@@ -315,7 +316,10 @@ def integrate(cfg: RunConfig, flavor: str) -> Trajectory:
     integrator = {"full": run_full, "reduced": run_reduced}[flavor]
     s0 = make_scenario(cfg.scenario, cfg.params, cfg.grid)
     if flavor == "reduced":
+        # the reduced flavor divides by B_0: refuse a start state without
+        # room above the floor, before the first step
         s0 = s0.to_reduced()
+        s0.check_b0_floor(2.0 * B0_FLOOR)
     return integrator(s0, cfg.resolved_dt(), cfg.t_end, cfg.params, every=cfg.every)
 
 

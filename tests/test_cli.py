@@ -439,11 +439,13 @@ def test_convergence_refuses_a_repeated_grid_size(tmp_path, capsys, levels):
 
 
 def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
-    # the energy drift and the charge-balance residual read one intensity
+    # the energy drift and the charge-balance residual read one intensity,
+    # formed for stacked blocks of snapshots
     calls = []
-    real = diagnostics.reconstruct_phi
-    monkeypatch.setattr(diagnostics, "reconstruct_phi",
-                        lambda s, p: calls.append(s.t) or real(s, p))
+    real = diagnostics.intensity_rows
+    monkeypatch.setattr(diagnostics, "intensity_rows",
+                        lambda B, Bdot, qbar, t, p, g:
+                        calls.extend(t) or real(B, Bdot, qbar, t, p, g))
     traj = ladder_level(RunConfig(grid=Grid1D(n=32), t_end=0.25))[1]
     assert calls == list(traj.times)
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from numpy.testing import assert_allclose, assert_array_equal
 
+from kgmlab import diagnostics, kernel
 from kgmlab.diagnostics import (
     CompareReport,
     DegenerateInput,
@@ -16,9 +22,29 @@ from kgmlab.diagnostics import (
     snapshot_extras,
     total_energy,
 )
-from kgmlab.full import run_full
-from kgmlab.kernel import FullState, Grid1D, Params, comb_dt
-from kgmlab.reduced import run_reduced
+from kgmlab.full import run_full, step_full
+from kgmlab.kernel import (
+    FullState,
+    Grid1D,
+    GuardViolation,
+    Params,
+    ReducedState,
+    Trajectory,
+    comb_dt,
+    deriv_x,
+)
+from kgmlab.reduced import (
+    PHI_FLOOR,
+    DegenerateClosure,
+    accel_reduced,
+    accel_rows,
+    identity_rows,
+    intensity_rows,
+    phi_identity_check,
+    reconstruct_phi,
+    reconstruct_phi_dot,
+    run_reduced,
+)
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -251,3 +277,142 @@ def test_snapshot_extras_keys_and_fallback():
     assert set(ex) == keys
     assert ex["fallback_fraction"] == 1.0  # vacuum: every point below floor
     assert abs(ex["min_phi"]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked blocks of snapshots
+# ---------------------------------------------------------------------------
+
+
+def loop_conservation(traj: Trajectory, p: Params) -> tuple[list[float], np.ndarray]:
+    """(total_energy, current_residual) per snapshot, one state at a time
+    through the one-state functions: the reference for the stacked blocks."""
+    K, g = len(traj), traj.grid
+    q, flux = np.empty((K, g.n)), np.empty((K, g.n))
+    for k, s in enumerate(traj.states):
+        if isinstance(s, FullState):
+            Phi, Phidot = s.phi * s.phi, 2.0 * s.phi * s.phidot
+        else:
+            Phi = reconstruct_phi(s, p)
+            Phidot = reconstruct_phi_dot(s, Phi)
+        q[k] = s.B[0] * Phi if K >= 3 else s.Bdot[0] * Phi + s.B[0] * Phidot
+        flux[k] = s.B[1] * Phi
+    dqdt = np.gradient(q, traj.times, axis=0, edge_order=2) if K >= 3 else q
+    resid = np.array([np.max(np.abs(dqdt[k] - deriv_x(flux[k], g))) for k in range(K)])
+    return [total_energy(s, p) for s in traj.states], resid
+
+
+def packet_members(amplitudes, g: Grid1D, p: Params) -> list[FullState]:
+    """One matter packet per amplitude, a step past its start so that every
+    rate is nonzero, at the distinct times 0.1 k."""
+    members = []
+    for k, a in enumerate(amplitudes):
+        s0 = make_scenario(replace(default_scenario("matter-packet"), amplitude=a), p, g)
+        members.append(replace(step_full(s0, 0.5 * g.h, p), t=0.1 * k))
+    return members
+
+
+def block_rows(f):
+    return f["B"], f["Bdot"], f["charge_mean"], f["t"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(amplitudes=st.sampled_from((1, 2, 16)).flatmap(
+           lambda K: st.lists(st.floats(0.27, 0.33), min_size=K, max_size=K)),
+       width=st.sampled_from((1, 3, 16)))
+def test_blocks_are_bit_identical_to_one_state_calls(amplitudes, width):
+    # each member of a block of `width` snapshots gets the bits of its own
+    # one-state evaluation: energy and charge-balance residual for both
+    # flavors, and Phi, Phidot, the acceleration and the identity residual
+    g, p = Grid1D(n=32), Params()
+    full = Trajectory(states=tuple(packet_members(amplitudes, g, p)))
+    red = Trajectory(states=tuple(s.to_reduced() for s in full.states))
+    with mock.patch.object(kernel, "BLOCK_POINTS", width * g.n):
+        for traj in (full, red):
+            energy, resid = diagnostics._conservation(traj, p)
+            ref_energy, ref_resid = loop_conservation(traj, p)
+            assert energy.tolist() == ref_energy
+            assert_array_equal(resid, ref_resid)
+
+        # the reduced members in reverse order, on the full members' times
+        other = Trajectory(states=tuple(replace(s, t=a.t) for a, s in
+                                        zip(full.states, reversed(red.states))))
+        report = compare(full, other)
+        for k, (a, b) in enumerate(zip(full.states, other.states)):
+            diff = a.B - b.B
+            assert_array_equal(report.linf_rel[k], np.max(np.abs(diff), axis=1)
+                               / np.where(report.scales > 0.0, report.scales, 1.0))
+            assert_array_equal(report.l2_rel[k], np.sqrt(np.mean(diff * diff, axis=1))
+                               / np.where(report.scales > 0.0, report.scales, 1.0))
+
+        for members, f in red.blocks():
+            assert f["B"].shape == (4, members.stop - members.start, g.n)
+            Phi, Phidot = intensity_rows(*block_rows(f), p, g)
+            acc = accel_rows(*block_rows(f), p, g)
+            ident = identity_rows(*block_rows(f), acc, p, g)
+            for m, s in enumerate(red.states[members]):
+                assert_array_equal(Phi[m], reconstruct_phi(s, p))
+                assert_array_equal(Phidot[m], reconstruct_phi_dot(s, Phi[m]))
+                assert_array_equal(acc[:, m], accel_reduced(s, p))
+                assert_array_equal(ident[m], phi_identity_check(s, acc[:, m], p))
+
+
+def vacuum_member(g: Grid1D, t: float, bdot1=0.0, charge_mean=0.0) -> ReducedState:
+    """B_0 = 1, dB_1/dt = bdot1 and nothing else; with the defaults Phi = 0
+    at every point, below PHI_FLOOR."""
+    B, Bdot = np.zeros((4, g.n)), np.zeros((4, g.n))
+    B[0] = 1.0
+    Bdot[1] = bdot1
+    return ReducedState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=charge_mean)
+
+
+def test_block_with_a_member_below_the_phi_floor_keeps_the_others_bits():
+    # the vacuum member sends the whole block down the masked divide; the
+    # packets, which take the plain divide alone, keep every bit
+    g, p = Grid1D(n=32), Params()
+    packets = [s.to_reduced() for s in packet_members((0.28, 0.31), g, p)]
+    states = (packets[0], vacuum_member(g, t=0.05), packets[1])
+    assert np.all(reconstruct_phi(states[1], p) < PHI_FLOOR)
+    assert not np.any(reconstruct_phi(packets[0], p) < PHI_FLOOR)
+    (_, f), = Trajectory(states=states).blocks()
+    acc = accel_rows(*block_rows(f), p, g)
+    ident = identity_rows(*block_rows(f), acc, p, g)
+    energy, _ = diagnostics._conservation(Trajectory(states=states), p)
+    for m, s in enumerate(states):
+        assert_array_equal(acc[:, m], accel_reduced(s, p))
+        assert_array_equal(ident[m], phi_identity_check(s, acc[:, m], p))
+        assert energy[m] == total_energy(s, p)
+
+
+def test_block_guards_name_the_first_failing_member():
+    # a block raises what the first failing member raises alone: its own
+    # time and grid index, in the one-state words
+    g, p = Grid1D(n=32), Params()
+    packets = [s.to_reduced() for s in packet_members((0.3, 0.3, 0.3, 0.3), g, p)]
+    for k, j in ((1, 5), (3, 20)):
+        packets[k].B[0, j] = 1e-9
+    with pytest.raises(GuardViolation) as alone:
+        accel_reduced(packets[1], p)
+    assert str(alone.value).endswith("at grid index 5, t=0.1")
+    (_, f), = Trajectory(states=tuple(packets)).blocks()
+    for call in (lambda: intensity_rows(*block_rows(f), p, g),
+                 lambda: accel_rows(*block_rows(f), p, g),
+                 lambda: current_residual(Trajectory(states=tuple(packets)), p)):
+        with pytest.raises(GuardViolation) as err:
+            call()
+        assert str(err.value) == str(alone.value)
+
+    # Phi ~ -cos(x)/2 crosses zero under an O(1) charge bracket: the closure
+    # has no admissible fallback there.  The bright member, Phi = 6 - 5 cos(x)
+    # with |D dB_1/dt| up to 10, would widen a fallback scale shared by the
+    # block; each member's scale is its own
+    bad = vacuum_member(g, t=0.3, bdot1=np.sin(g.x()))
+    bright = vacuum_member(g, t=0.1, bdot1=10.0 * np.sin(g.x()), charge_mean=6.0)
+    states = (packets[0], bright, vacuum_member(g, t=0.2), bad, packets[2])
+    with pytest.raises(DegenerateClosure) as alone:
+        accel_reduced(bad, p)
+    assert "(t=0.3)" in str(alone.value)
+    (_, f), = Trajectory(states=states).blocks()
+    with pytest.raises(DegenerateClosure) as err:
+        accel_rows(*block_rows(f), p, g)
+    assert str(err.value) == str(alone.value)

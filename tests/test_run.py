@@ -7,11 +7,12 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgmlab import checks, run
 from kgmlab.cli import main
-from kgmlab.kernel import Grid1D, GuardViolation, Params
+from kgmlab.kernel import B0_FLOOR, Grid1D, GuardViolation, Params
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -20,6 +21,22 @@ def reduced_snapshot(tmp_path: Path) -> Path:
     s0 = make_scenario(default_scenario("matter-packet"), Params(), Grid1D(n=32))
     run.write_snapshot(path, s0.to_reduced())
     return path
+
+
+def test_reduced_run_refuses_a_start_state_the_full_run_steps_from():
+    # without its offset the gauge wave's B_0 is 0 up to rounding: the full
+    # system divides by no B_0 and runs it to the end, while the reduced run
+    # refuses its start state, by name, before the first step
+    cfg = run.RunConfig(grid=Grid1D(n=64), t_end=1.0,
+                        scenario=replace(default_scenario("pure-gauge-wave"), offset=0.0))
+    b0 = make_scenario(cfg.scenario, cfg.params, cfg.grid).B[0]
+    j = int(np.argmin(np.abs(b0)))
+    assert abs(b0[j]) < B0_FLOOR
+    assert run.integrate(cfg, "full").times[-1] == pytest.approx(cfg.t_end, abs=1e-12)
+    with pytest.raises(GuardViolation) as err:
+        run.integrate(cfg, "reduced")
+    assert str(err.value).startswith("|B_0| = ")
+    assert str(err.value).endswith(f"at grid index {j}, t=0")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -26,7 +26,6 @@ from kgmlab.full import run_full, step_full
 from kgmlab.kernel import (
     B0_FLOOR,
     Grid1D,
-    GuardViolation,
     Params,
     SimulationError,
     comb_dt,
@@ -246,9 +245,6 @@ def test_make_scenario_rejects_bad_input():
     p = Params()
     with pytest.raises(ValueError, match="unknown scenario"):
         make_scenario(ScenarioSpec(name="warp-core"), p, g)
-    with pytest.raises(GuardViolation):
-        # without the offset the wave's B_0 vanishes at grid points
-        make_scenario(ScenarioSpec(name="pure-gauge-wave", offset=0.0), p, g)
 
 
 # ---------------------------------------------------------------------------
