@@ -36,7 +36,7 @@ from .carleman import (
 )
 from .diagnostics import observed_order
 from .kernel import Grid1D, SimulationError
-from .reduced import accel_rows, identity_rows, reconstruct_phi
+from .reduced import accel_reduced, phi_identity_check, reconstruct_phi
 from .scenarios import default_scenario
 
 __all__ = ["CRITERIA"]
@@ -62,9 +62,7 @@ def _ladder_level(n: int) -> dict[str, float]:
     # the identity over stacked blocks of snapshots, one pass per block
     identity = 0.0
     for _, f in traj_red.blocks():
-        rows = (f["B"], f["Bdot"], f["charge_mean"], f["t"])
-        B_ddot = accel_rows(*rows, cfg.params, cfg.grid)
-        resid = identity_rows(*rows, B_ddot, cfg.params, cfg.grid)
+        resid = phi_identity_check(f, accel_reduced(f, cfg.params), cfg.params)
         identity = max(identity, float(np.max(resid)))
     out["identity"] = identity
     return out
@@ -119,7 +117,7 @@ def _check_gauge_wave_regression() -> tuple[bool, str]:
                float(np.max(np.abs(final.Bdot - s0.Bdot))))
     bound = 1.5 * (g.h**2 + dt**4)
 
-    phi_peak = max(float(np.max(np.abs(reconstruct_phi(s, p)))) for s in traj.states)
+    phi_peak = max(float(np.max(np.abs(reconstruct_phi(f, p)))) for _, f in traj.blocks())
     phi_bound = 0.01 * g.h**2
     ok = dist <= bound and phi_peak <= phi_bound
     return ok, (f"period return distance {dist:.3e} (need <= {bound:.3e}); "

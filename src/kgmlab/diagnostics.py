@@ -15,15 +15,14 @@ import numpy as np
 
 from .kernel import (
     Array,
-    FullState,
-    Grid1D,
+    Fields,
     Params,
     ReducedState,
     SimulationError,
     Trajectory,
     deriv_x,
 )
-from .reduced import below_phi_floor, intensity_rows
+from .reduced import below_phi_floor, intensity
 
 __all__ = [
     "CompareReport",
@@ -51,18 +50,11 @@ class DegenerateInput(SimulationError):
 # ---------------------------------------------------------------------------
 
 
-def _fields(s: ReducedState) -> dict[str, Array]:
-    """One state's field arrays, t and charge_mean: the K-less case of a
-    block of kernel.Trajectory.blocks."""
-    return {"t": s.t, "charge_mean": s.charge_mean, **dict(s.field_arrays())}
-
-
-def _intensity(f: dict[str, Array], p: Params, g: Grid1D) -> tuple[Array, Array]:
-    """(Phi, Phidot) of a state's or a block's fields, for either flavor."""
-    if "phi" in f:
-        phi = f["phi"]
-        return phi * phi, 2.0 * phi * f["phidot"]
-    return intensity_rows(f["B"], f["Bdot"], f["charge_mean"], f["t"], p, g)
+def _intensity(s: ReducedState | Fields, p: Params) -> tuple[Array, Array]:
+    """(Phi, Phidot) of a state or a block, for either flavor."""
+    if s.phi is not None:
+        return s.phi * s.phi, 2.0 * s.phi * s.phidot
+    return intensity(s, p)
 
 
 def total_energy(s: ReducedState, p: Params) -> float:
@@ -85,20 +77,20 @@ def total_energy(s: ReducedState, p: Params) -> float:
     kinetic terms are floored to zero below reduced.PHI_FLOOR.  The grid sum uses
     exactly rounded summation so the result is independent of index origin.
     """
-    f = _fields(s)
-    return math.fsum(_energy_density(f, p, s.grid, *_intensity(f, p, s.grid))) * s.grid.h
+    return math.fsum(_energy_density(s, p, *_intensity(s, p))) * s.grid.h
 
 
-def _energy_density(f: dict[str, Array], p: Params, g: Grid1D, Phi: Array,
+def _energy_density(s: ReducedState | Fields, p: Params, Phi: Array,
                     Phidot: Array) -> Array:
-    """total_energy's density rows of a state's or a block's fields, given
-    their (Phi, Phidot) from _intensity.
+    """total_energy's density rows of a state or a block, given its
+    (Phi, Phidot) from _intensity.
 
     The mass and coupling terms read Phi for both flavors.  Full states carry
     phi, so only a reduced state's kinetic term reads the pair.
     """
-    b0, b1, b2, b3 = f["B"]
-    bd1, bd2, bd3 = f["Bdot"][1:]
+    g = s.grid
+    b0, b1, b2, b3 = s.B
+    bd1, bd2, bd3 = s.Bdot[1:]
 
     em = (
         0.25 * (bd1 - deriv_x(b0, g)) ** 2
@@ -107,8 +99,8 @@ def _energy_density(f: dict[str, Array], p: Params, g: Grid1D, Phi: Array,
     )
 
     coupling_sq = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
-    if "phi" in f:
-        kinetic = 0.5 * f["phidot"]**2 + 0.5 * deriv_x(f["phi"], g) ** 2
+    if s.phi is not None:
+        kinetic = 0.5 * s.phidot**2 + 0.5 * deriv_x(s.phi, g) ** 2
     else:
         kinetic = np.zeros_like(Phi)
         np.divide(Phidot**2 + deriv_x(Phi, g) ** 2, 8.0 * Phi,
@@ -151,12 +143,11 @@ def _conservation(traj: Trajectory, p: Params) -> tuple[Array, Array]:
     q = np.empty((K, g.n))
     flux = np.empty((K, g.n))
     for members, f in traj.blocks():
-        Phi, Phidot = _intensity(f, p, g)
-        B, Bdot = f["B"], f["Bdot"]
+        Phi, Phidot = _intensity(f, p)
         energy[members] = [math.fsum(row) * g.h
-                           for row in _energy_density(f, p, g, Phi, Phidot).tolist()]
-        q[members] = B[0] * Phi if K >= 3 else Bdot[0] * Phi + B[0] * Phidot
-        flux[members] = B[1] * Phi
+                           for row in _energy_density(f, p, Phi, Phidot).tolist()]
+        q[members] = f.B[0] * Phi if K >= 3 else f.Bdot[0] * Phi + f.B[0] * Phidot
+        flux[members] = f.B[1] * Phi
     dqdt = np.gradient(q, np.asarray(traj.times), axis=0, edge_order=2) if K >= 3 else q
 
     defect = deriv_x(flux, g)
@@ -238,9 +229,9 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareReport:
     l2 = np.zeros((K, 4))
     # one pass per pair of stacked blocks; B rows are (4, K, n)
     for (members, fa), (_, fb) in zip(traj_a.blocks("B"), traj_b.blocks("B")):
-        for B in (fa["B"], fb["B"]):
+        for B in (fa.B, fb.B):
             scales = np.maximum(scales, np.max(np.abs(B), axis=(1, 2)))
-        diff = fa["B"] - fb["B"]
+        diff = fa.B - fb.B
         linf[members] = np.max(np.abs(diff), axis=-1).T
         l2[members] = np.sqrt(np.mean(diff * diff, axis=-1)).T
     denom = np.where(scales > 0.0, scales, 1.0)
@@ -288,9 +279,8 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
     """
     g = s.grid
     e2 = p.e**2
-    f = _fields(s)
-    Phi, Phidot = _intensity(f, p, g)
-    if isinstance(s, FullState):
+    Phi, Phidot = _intensity(s, p)
+    if s.phi is not None:
         gauss = (
             deriv_x(deriv_x(s.B[0], g), g)
             - deriv_x(s.Bdot[1], g)
@@ -304,7 +294,7 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
         fallback = float(np.mean(below_phi_floor(Phi)))
     return {
         "t": float(s.t),
-        "energy": math.fsum(_energy_density(f, p, g, Phi, Phidot)) * g.h,
+        "energy": math.fsum(_energy_density(s, p, Phi, Phidot)) * g.h,
         "constraint_residual": constraint,
         "min_abs_b0": float(np.min(np.abs(s.B[0]))),
         "min_phi": float(np.min(Phi)),

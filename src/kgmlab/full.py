@@ -35,6 +35,7 @@ import numpy as np
 
 from .kernel import (
     Array,
+    Fields,
     FullState,
     Params,
     Trajectory,
@@ -50,9 +51,9 @@ from .scenarios import solve_gauss_constraint, solve_gauss_rate
 __all__ = ["accel_full", "run_full", "step_full"]
 
 
-def accel_full(s: FullState, p: Params) -> tuple[Array, Array]:
-    """(phi_ddot, B_ddot) at the given state, B_ddot the (4, n) block of
-    the four rows' rates.
+def accel_full(s: FullState | Fields, p: Params) -> tuple[Array, Array]:
+    """(phi_ddot, B_ddot) at the given state or stage, B_ddot the (4, n)
+    block of the four rows' rates.
 
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
@@ -94,32 +95,32 @@ def step_full(s: FullState, dt: float, p: Params) -> FullState:
     whenever phi^2 > 0 somewhere on both the even and the odd points), stages
     2-4 solve only Bdot_0, the result B_0 then Bdot_0; none divides by B_0.
 
-    Every stage and the result carry s.charge_mean unchanged.  Stage 1 is s
-    as given, so a hand-built s off the constraint surface (or with a
-    charge mean its B_0 and phi do not hold) feeds its own (B_0, Bdot_0)
-    into the first stage; with matter, the solve that ends the step still
-    puts the result on the surface pinned to s.charge_mean.
+    The stages are Fields; only the result is a state.  Every stage and the
+    result carry s.charge_mean unchanged.  Stage 1 is s as given, so a
+    hand-built s off the constraint surface (or with a charge mean its B_0
+    and phi do not hold) feeds its own (B_0, Bdot_0) into the first stage;
+    with matter, the solve that ends the step still puts the result on the
+    surface pinned to s.charge_mean.
     """
     g, qbar = s.grid, s.charge_mean
     matter = bool(np.any(s.phi))
 
-    def state(t, phi, phidot, B, Bdot):
-        # B and Bdot are rk4's own arrays of a later stage or of the result
-        if matter:
-            Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
-        return FullState(t=t, B=B, Bdot=Bdot, grid=g, charge_mean=qbar,
-                         phi=phi, phidot=phidot)
-
     def rhs(t, phi, phidot, B, Bdot):
-        # stage 1 is the incoming state itself: rk4 passes its arrays
-        stage = s if phi is s.phi else state(t, phi, phidot, B, Bdot)
+        # rk4 passes s's own arrays to stage 1 and its own new arrays,
+        # which the solve may write, to stages 2-4
+        if matter and phi is not s.phi:
+            Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
+        stage = Fields(t=t, grid=g, B=B, Bdot=Bdot, charge_mean=qbar,
+                       phi=phi, phidot=phidot)
         phi_ddot, b_ddot = accel_full(stage, p)
-        return stage.phidot, phi_ddot, stage.Bdot, b_ddot
+        return phidot, phi_ddot, Bdot, b_ddot
 
     phi, phidot, B, Bdot = rk4(rhs, s.t, (s.phi, s.phidot, s.B, s.Bdot), dt)
     if matter:
         B[0] = solve_gauss_constraint(phi, Bdot[1:], p, g, charge_mean=qbar)
-    out = state(s.t + dt, phi, phidot, B, Bdot)
+        Bdot[0] = solve_gauss_rate(phi, phidot, B[0], B[1], p, g)
+    out = FullState(t=s.t + dt, B=B, Bdot=Bdot, grid=g, charge_mean=qbar,
+                    phi=phi, phidot=phidot)
     out.require_finite()
     return out
 

@@ -13,13 +13,19 @@ Fixed conventions, used without exception throughout the package:
 States hold covariant components and their first time derivatives on a
 uniform periodic grid.  Second time derivatives are never state: they are
 recomputed from the field equations wherever needed.
+
+A state is validated when it is built (shapes, dtypes, phi present for the
+full flavor).  Fields carries the same attribute names without any check:
+an RK4 stage inside a step, or a block of snapshots stacked by
+Trajectory.blocks.  Every rate, reconstruction and diagnostic reads those
+names, so it takes a state, a stage or a block alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -239,6 +245,20 @@ def guard_b0_floor(b0: Array, t: float | Array, floor: float = B0_FLOOR) -> None
         )
 
 
+class Fields(NamedTuple):
+    """A state's attribute names, unchecked: an RK4 stage, or a block of K
+    snapshots with B and Bdot (4, K, n), phi and phidot (K, n), t (K,) and
+    charge_mean (K, 1).  phi and phidot are None for the reduced flavor."""
+
+    t: float | Array
+    grid: Grid1D
+    B: Array
+    Bdot: Array
+    charge_mean: float | Array
+    phi: Array | None = None
+    phidot: Array | None = None
+
+
 def _as_field_block(name: str, arr: Array, n: int) -> None:
     if arr.shape != (4, n):
         raise ValueError(f"{name} must have shape (4, {n}), got {arr.shape}")
@@ -265,6 +285,9 @@ class ReducedState:
     Bdot: Array
     grid: Grid1D
     charge_mean: float = 0.0
+    # no matter field; a FullState's fields of the same names replace these
+    phi: ClassVar[None] = None
+    phidot: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         B, Bdot = _floating(self.B), _floating(self.Bdot)
@@ -285,13 +308,16 @@ class ReducedState:
             if not np.all(np.isfinite(arr)):
                 raise NonFinite(f"non-finite values in {name} at t={self.t:.6g}")
 
-    def check_b0_floor(self, floor: float = B0_FLOOR) -> None:
-        """Raise unless |B_0| clears floor everywhere.
+    def to_reduced(self) -> ReducedState:
+        """A reduced copy: a FullState forgets its scalar field, which the
+        reduced system must recover.
 
-        The reconstruction chain divides by B_0, so states that graze zero
-        are outside the regime the scheme is built for.
+        The charge mean is carried as it is: the intensity reconstruction
+        sees the source only through spatial stencils, which drop its grid
+        mean, so this one number is all the reduced state keeps of it.
         """
-        guard_b0_floor(self.B[0], self.t, floor)
+        return ReducedState(t=self.t, B=self.B.copy(), Bdot=self.Bdot.copy(),
+                            grid=self.grid, charge_mean=self.charge_mean)
 
 
 @dataclass
@@ -323,16 +349,6 @@ class FullState(ReducedState):
         yield "phi", self.phi
         yield "phidot", self.phidot
 
-    def to_reduced(self) -> ReducedState:
-        """Forget the scalar field; the reduced system must recover it.
-
-        The charge mean is carried as it is: the intensity reconstruction
-        sees the source only through spatial stencils, which drop its grid
-        mean, so this one number is all the reduced state keeps of it.
-        """
-        return ReducedState(t=self.t, B=self.B.copy(), Bdot=self.Bdot.copy(),
-                            grid=self.grid, charge_mean=self.charge_mean)
-
 
 # Trajectory diagnostics stack this many grid points of snapshots per block,
 # max(1, BLOCK_POINTS // n) members, and make one numpy pass per block.
@@ -347,13 +363,17 @@ BLOCK_POINTS = 8192
 
 @dataclass
 class Trajectory:
-    """Snapshots emitted by a run."""
+    """Snapshots emitted by a run, all of one flavor on one grid."""
 
     states: tuple[ReducedState, ...]
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("a trajectory needs at least one snapshot")
+        for k, s in enumerate(self.states):
+            if (type(s), s.grid) != (type(self.states[0]), self.grid):
+                raise ValueError(f"snapshot {k} is a {type(s).__name__} on {s.grid}, "
+                                 f"unlike snapshot 0")
 
     @property
     def grid(self) -> Grid1D:
@@ -366,27 +386,24 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def blocks(self, *names: str) -> Iterator[tuple[slice, dict[str, Array]]]:
+    def blocks(self, *names: str) -> Iterator[tuple[slice, Fields]]:
         """The snapshots in order, in stacked blocks of max(1, BLOCK_POINTS
         // n) members.
 
-        Yields (members, fields): the block's slice of states, and each
-        array of field_arrays that names lists (all of them when it lists
-        none) stacked along a member axis after its row axis (B and Bdot
-        (4, K, n), phi and phidot (K, n)), with "t" (K,) and "charge_mean"
-        (K, 1).  A single state's own arrays, t and charge_mean are the
-        K-less case of the same layout.
+        Yields (members, fields): the block's slice of states, and a Fields
+        of t, charge_mean and each array of field_arrays that names lists
+        (all of them when it lists none), stacked along a member axis after
+        the row axis; an array that names leaves out is None.
         """
         width = max(1, BLOCK_POINTS // self.grid.n)
         for k0 in range(0, len(self.states), width):
             block = self.states[k0:k0 + width]
-            fields = {"t": np.array([s.t for s in block]),
-                      "charge_mean": np.array([[s.charge_mean] for s in block])}
-            for name, arr in block[0].field_arrays():
-                if name in names or not names:
-                    fields[name] = np.stack([getattr(s, name) for s in block],
-                                            axis=arr.ndim - 1)
-            yield slice(k0, k0 + len(block)), fields
+            stacked = {name: np.stack([getattr(s, name) for s in block], axis=arr.ndim - 1)
+                       if name in names or not names else None
+                       for name, arr in block[0].field_arrays()}
+            yield slice(k0, k0 + len(block)), Fields(
+                t=np.array([s.t for s in block]), grid=self.grid,
+                charge_mean=np.array([[s.charge_mean] for s in block]), **stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ On a periodic grid the reconstruction needs one extra scalar: the grid mean
 of B_0*Phi is invisible to the stencil derivatives (every stencil output has
 zero mean) but is a conserved quantity of the flow.  ReducedState carries it
 as ``charge_mean``; reconstruction adds it back.  See kernel.ReducedState.
+
+Every function here takes a state, an RK4 stage or a stacked block of
+snapshots (kernel.Fields) alike.  Each operation is elementwise or a stencil
+along the last axis, so a block member's rows are bit-identical to its own
+one-state call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .kernel import (
     Array,
-    Grid1D,
+    Fields,
     Params,
     ReducedState,
     SimulationError,
@@ -50,10 +55,8 @@ __all__ = [
     "DegenerateClosure",
     "PHI_FLOOR",
     "accel_reduced",
-    "accel_rows",
     "below_phi_floor",
-    "identity_rows",
-    "intensity_rows",
+    "intensity",
     "phi_identity_check",
     "reconstruct_phi",
     "reconstruct_phi_dot",
@@ -80,7 +83,7 @@ def below_phi_floor(Phi: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_phi(s: ReducedState, p: Params) -> Array:
+def reconstruct_phi(s: ReducedState | Fields, p: Params) -> Array:
     """Matter intensity from the time-0 wave equation.
 
     That component reads (in this module's sign conventions)
@@ -100,27 +103,26 @@ def reconstruct_phi(s: ReducedState, p: Params) -> Array:
     (frequency ~ 1/h^2) that no explicit step at dt ~ h can resolve.  The
     composed form keeps every branch inside the wave cone.
     """
-    s.check_b0_floor()
-    return _phi(s.B, s.Bdot, s.charge_mean, p, s.grid)
+    guard_b0_floor(s.B[0], s.t)
+    return _phi(s, p)
 
 
-def _phi(B: Array, Bdot: Array, qbar: float | Array, p: Params, g: Grid1D,
-         dd_b0: Array | None = None, d_bd1: Array | None = None) -> Array:
-    """reconstruct_phi of field rows past the B_0 floor scan (see
-    intensity_rows for the layouts), given D(D B_0) and D(dB_1/dt) when the
-    caller has them."""
+def _phi(s: ReducedState | Fields, p: Params, dd_b0: Array | None = None,
+         d_bd1: Array | None = None) -> Array:
+    """reconstruct_phi past the B_0 floor scan, given D(D B_0) and
+    D(dB_1/dt) when the caller has them."""
     if dd_b0 is None:
-        dd_b0 = deriv_x(deriv_x(B[0], g), g)
+        dd_b0 = deriv_x(deriv_x(s.B[0], s.grid), s.grid)
     if d_bd1 is None:
-        d_bd1 = deriv_x(Bdot[1], g)
+        d_bd1 = deriv_x(s.Bdot[1], s.grid)
     Phi = dd_b0 - d_bd1
     Phi /= 2.0 * p.e**2
-    Phi += qbar
-    Phi /= B[0]
+    Phi += s.charge_mean
+    Phi /= s.B[0]
     return Phi
 
 
-def reconstruct_phi_dot(s: ReducedState, Phi: Array) -> Array:
+def reconstruct_phi_dot(s: ReducedState | Fields, Phi: Array) -> Array:
     """Time derivative of the intensity from charge conservation.
 
     The conserved current is B^mu * Phi; vanishing divergence isolates the
@@ -132,51 +134,34 @@ def reconstruct_phi_dot(s: ReducedState, Phi: Array) -> Array:
     this is the form whose coefficient structure the closure differentiates,
     and diagnostics measure the Leibniz defect of exactly this choice.
     """
-    s.check_b0_floor()
-    return _phi_dot(s.B, s.Bdot, Phi, s.grid)
+    guard_b0_floor(s.B[0], s.t)
+    return _phi_dot(s, Phi)
 
 
-def _phi_dot(B: Array, Bdot: Array, Phi: Array, g: Grid1D,
-             div_b: Array | None = None, dPhi: Array | None = None) -> Array:
-    """reconstruct_phi_dot of field rows past the B_0 floor scan, given
-    div B and D(Phi) when the caller has them."""
+def _phi_dot(s: ReducedState | Fields, Phi: Array, div_b: Array | None = None,
+             dPhi: Array | None = None) -> Array:
+    """reconstruct_phi_dot past the B_0 floor scan, given div B and D(Phi)
+    when the caller has them."""
     if div_b is None:
-        div_b = Bdot[0] - deriv_x(B[1], g)
+        div_b = s.Bdot[0] - deriv_x(s.B[1], s.grid)
     if dPhi is None:
-        dPhi = deriv_x(Phi, g)
-    Phidot = B[1] * dPhi
+        dPhi = deriv_x(Phi, s.grid)
+    Phidot = s.B[1] * dPhi
     Phidot -= div_b * Phi
-    Phidot /= B[0]
+    Phidot /= s.B[0]
     return Phidot
 
 
-def intensity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
-                   p: Params, g: Grid1D) -> tuple[Array, Array]:
-    """(reconstruct_phi, reconstruct_phi_dot) of field rows, past one B_0
-    floor scan.
-
-    The rows are one state's: B and Bdot of shape (4, n) at time t with
-    charge mean qbar, giving Phi and Phidot of shape (n,).  Or they carry a
-    member axis after the row axis: B and Bdot (4, K, n) of K members at
-    times t (K,) with charge means qbar (K, 1), giving (K, n).  Every
-    operation is elementwise or a stencil along the last axis, so each
-    member's rows are bit-identical to its own one-state call.
-    """
-    guard_b0_floor(B[0], t)
-    Phi = _phi(B, Bdot, qbar, p, g)
-    return Phi, _phi_dot(B, Bdot, Phi, g)
+def intensity(s: ReducedState | Fields, p: Params) -> tuple[Array, Array]:
+    """(reconstruct_phi, reconstruct_phi_dot), past one B_0 floor scan."""
+    guard_b0_floor(s.B[0], s.t)
+    Phi = _phi(s, p)
+    return Phi, _phi_dot(s, Phi)
 
 
-def accel_reduced(s: ReducedState, p: Params) -> Array:
-    """Second time derivatives of all four field components, as one (4, n)
-    block: accel_rows of the state's rows."""
-    return accel_rows(s.B, s.Bdot, s.charge_mean, s.t, p, s.grid)
-
-
-def accel_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
-               p: Params, g: Grid1D) -> Array:
-    """Second time derivatives of field rows (layouts as in intensity_rows),
-    shaped like B.
+def accel_reduced(s: ReducedState | Fields, p: Params) -> Array:
+    """Second time derivatives of all four field components, shaped like
+    s.B.
 
     Elimination order: Phi, then Phidot, then the three spatial
     accelerations (kernel.spatial_accel with the reconstructed Phi), then
@@ -196,8 +181,9 @@ def accel_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
     and DegenerateClosure names the first failing member's t.
     """
     e2 = p.e**2
+    g, B, t = s.grid, s.B, s.t
     b0, b1 = B[0], B[1]
-    bd0, bd1 = Bdot[0], Bdot[1]
+    bd0, bd1 = s.Bdot[0], s.Bdot[1]
 
     guard_b0_floor(b0, t)
     # first = [D B_0, D B_1, div B], second = D of each row
@@ -207,9 +193,9 @@ def accel_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)
 
-    Phi = _phi(B, Bdot, qbar, p, g, dd_b0=second[0], d_bd1=d_bd1)
+    Phi = _phi(s, p, dd_b0=second[0], d_bd1=d_bd1)
     dPhi = deriv_x(Phi, g)
-    Phidot = _phi_dot(B, Bdot, Phi, g, div_b=div_b, dPhi=dPhi)
+    Phidot = _phi_dot(s, Phi, div_b=div_b, dPhi=dPhi)
     dPhidot = deriv_x(Phidot, g)
 
     acc = np.empty_like(B)
@@ -285,27 +271,28 @@ def step_reduced(s: ReducedState, dt: float, p: Params) -> ReducedState:
 
     Pure explicit integration: no elliptic solve is performed, which is the
     point of the reduced formulation.  The conserved charge mean rides along
-    unchanged.
+    unchanged.  The stages are Fields; only the result is a state.
     """
 
     def rhs(t: float, B: Array, Bdot: Array) -> tuple[Array, Array]:
-        stage = ReducedState(t=t, B=B, Bdot=Bdot, grid=s.grid,
-                             charge_mean=s.charge_mean)
+        stage = Fields(t=t, grid=s.grid, B=B, Bdot=Bdot, charge_mean=s.charge_mean)
         return Bdot, accel_reduced(stage, p)
 
     B, Bdot = rk4(rhs, s.t, (s.B, s.Bdot), dt)
     out = ReducedState(t=s.t + dt, B=B, Bdot=Bdot, grid=s.grid,
                        charge_mean=s.charge_mean)
     out.require_finite()
-    out.check_b0_floor()
+    guard_b0_floor(out.B[0], out.t)
     return out
 
 
 def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
                 every: int = 1) -> Trajectory:
     """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
-    see kernel.run_trajectory for the step comb and error reporting."""
-    return run_trajectory(step_reduced, s0, dt, t_end, p, every)
+    see kernel.run_trajectory for the step comb and error reporting.  The
+    run starts from s0.to_reduced(), so a FullState's snapshots are reduced
+    too."""
+    return run_trajectory(step_reduced, s0.to_reduced(), dt, t_end, p, every)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +300,9 @@ def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
 # ---------------------------------------------------------------------------
 
 
-def phi_identity_check(s: ReducedState, B_ddot: Array, p: Params) -> Array:
-    """Pointwise disagreement between two independent intensity formulas:
-    identity_rows of the state's rows."""
-    return identity_rows(s.B, s.Bdot, s.charge_mean, s.t, B_ddot, p, s.grid)
-
-
-def identity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
-                  B_ddot: Array, p: Params, g: Grid1D) -> Array:
+def phi_identity_check(s: ReducedState | Fields, B_ddot: Array, p: Params) -> Array:
     """Pointwise disagreement between two independent intensity formulas,
-    for field rows and their accelerations B_ddot (layouts as in
-    intensity_rows).
+    given the accelerations B_ddot, shaped like s.B.
 
     Contracting the full vector wave equation with B^mu gives
     Phi = -B^mu (box B_mu - grad_mu div B) / (2 e^2 B^nu B_nu), valid
@@ -339,12 +318,13 @@ def identity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
     state.  The background charge mean enters exactly as in reconstruction.
     """
     e2 = p.e**2
+    g, B = s.grid, s.B
     b0, b1, b2, b3 = B
 
-    guard_b0_floor(b0, t)
+    guard_b0_floor(b0, s.t)
     # Time component: the acceleration cancels against the differentiated
     # divergence, leaving a constraint expression with no second derivative.
-    d_bdot = deriv_x(Bdot[:2], g)
+    d_bdot = deriv_x(s.Bdot[:2], g)
     w0 = d_bdot[1] - deriv_xx(b0, g)
     # Spatial x-component: the compact Laplacian absorbs the repeated
     # x-derivative of the divergence gradient.
@@ -358,9 +338,9 @@ def identity_rows(B: Array, Bdot: Array, qbar: float | Array, t: float | Array,
     low = bsq == 0.0
 
     phi_from_eom = np.zeros_like(bsq)
-    np.divide(-contracted / (2.0 * e2) + b0 * qbar, bsq,
+    np.divide(-contracted / (2.0 * e2) + b0 * s.charge_mean, bsq,
               out=phi_from_eom, where=~low)
 
-    resid = np.abs(phi_from_eom - _phi(B, Bdot, qbar, p, g, d_bd1=d_bdot[1]))
+    resid = np.abs(phi_from_eom - _phi(s, p, d_bd1=d_bdot[1]))
     resid[low] = 0.0
     return resid

@@ -31,6 +31,7 @@ from .kernel import (
     SimulationError,
     Trajectory,
     comb_dt,
+    guard_b0_floor,
 )
 from .reduced import run_reduced
 from .scenarios import ScenarioSpec, default_scenario, make_scenario
@@ -318,8 +319,7 @@ def integrate(cfg: RunConfig, flavor: str) -> Trajectory:
     if flavor == "reduced":
         # the reduced flavor divides by B_0: refuse a start state without
         # room above the floor, before the first step
-        s0 = s0.to_reduced()
-        s0.check_b0_floor(2.0 * B0_FLOOR)
+        guard_b0_floor(s0.B[0], s0.t, 2.0 * B0_FLOOR)
     return integrator(s0, cfg.resolved_dt(), cfg.t_end, cfg.params, every=cfg.every)
 
 

@@ -442,10 +442,9 @@ def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
     # the energy drift and the charge-balance residual read one intensity,
     # formed for stacked blocks of snapshots
     calls = []
-    real = diagnostics.intensity_rows
-    monkeypatch.setattr(diagnostics, "intensity_rows",
-                        lambda B, Bdot, qbar, t, p, g:
-                        calls.extend(t) or real(B, Bdot, qbar, t, p, g))
+    real = diagnostics.intensity
+    monkeypatch.setattr(diagnostics, "intensity",
+                        lambda s, p: calls.extend(s.t) or real(s, p))
     traj = ladder_level(RunConfig(grid=Grid1D(n=32), t_end=0.25))[1]
     assert calls == list(traj.times)
 

@@ -37,9 +37,7 @@ from kgmlab.reduced import (
     PHI_FLOOR,
     DegenerateClosure,
     accel_reduced,
-    accel_rows,
-    identity_rows,
-    intensity_rows,
+    intensity,
     phi_identity_check,
     reconstruct_phi,
     reconstruct_phi_dot,
@@ -312,10 +310,6 @@ def packet_members(amplitudes, g: Grid1D, p: Params) -> list[FullState]:
     return members
 
 
-def block_rows(f):
-    return f["B"], f["Bdot"], f["charge_mean"], f["t"]
-
-
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(amplitudes=st.sampled_from((1, 2, 16)).flatmap(
            lambda K: st.lists(st.floats(0.27, 0.33), min_size=K, max_size=K)),
@@ -346,10 +340,10 @@ def test_blocks_are_bit_identical_to_one_state_calls(amplitudes, width):
                                / np.where(report.scales > 0.0, report.scales, 1.0))
 
         for members, f in red.blocks():
-            assert f["B"].shape == (4, members.stop - members.start, g.n)
-            Phi, Phidot = intensity_rows(*block_rows(f), p, g)
-            acc = accel_rows(*block_rows(f), p, g)
-            ident = identity_rows(*block_rows(f), acc, p, g)
+            assert f.B.shape == (4, members.stop - members.start, g.n)
+            Phi, Phidot = intensity(f, p)
+            acc = accel_reduced(f, p)
+            ident = phi_identity_check(f, acc, p)
             for m, s in enumerate(red.states[members]):
                 assert_array_equal(Phi[m], reconstruct_phi(s, p))
                 assert_array_equal(Phidot[m], reconstruct_phi_dot(s, Phi[m]))
@@ -375,8 +369,8 @@ def test_block_with_a_member_below_the_phi_floor_keeps_the_others_bits():
     assert np.all(reconstruct_phi(states[1], p) < PHI_FLOOR)
     assert not np.any(reconstruct_phi(packets[0], p) < PHI_FLOOR)
     (_, f), = Trajectory(states=states).blocks()
-    acc = accel_rows(*block_rows(f), p, g)
-    ident = identity_rows(*block_rows(f), acc, p, g)
+    acc = accel_reduced(f, p)
+    ident = phi_identity_check(f, acc, p)
     energy, _ = diagnostics._conservation(Trajectory(states=states), p)
     for m, s in enumerate(states):
         assert_array_equal(acc[:, m], accel_reduced(s, p))
@@ -395,8 +389,8 @@ def test_block_guards_name_the_first_failing_member():
         accel_reduced(packets[1], p)
     assert str(alone.value).endswith("at grid index 5, t=0.1")
     (_, f), = Trajectory(states=tuple(packets)).blocks()
-    for call in (lambda: intensity_rows(*block_rows(f), p, g),
-                 lambda: accel_rows(*block_rows(f), p, g),
+    for call in (lambda: intensity(f, p),
+                 lambda: accel_reduced(f, p),
                  lambda: current_residual(Trajectory(states=tuple(packets)), p)):
         with pytest.raises(GuardViolation) as err:
             call()
@@ -414,5 +408,5 @@ def test_block_guards_name_the_first_failing_member():
     assert "(t=0.3)" in str(alone.value)
     (_, f), = Trajectory(states=states).blocks()
     with pytest.raises(DegenerateClosure) as err:
-        accel_rows(*block_rows(f), p, g)
+        accel_reduced(f, p)
     assert str(err.value) == str(alone.value)

@@ -18,6 +18,7 @@ from kgmlab.kernel import (
     ReducedState,
     deriv_x,
     deriv_xx,
+    guard_b0_floor,
     lorentz_dot,
     rk4,
 )
@@ -337,10 +338,9 @@ def test_b0_floor_guard_reports_location():
     g = Grid1D(n=8)
     B = np.ones((4, g.n))
     B[0, 3] = 1e-9
-    s = ReducedState(t=0.25, B=B, Bdot=np.zeros((4, g.n)), grid=g)
     with pytest.raises(GuardViolation, match="index 3, t=0.25"):
-        s.check_b0_floor()
-    s.check_b0_floor(1e-9)  # a floor of exactly min |B_0| passes
+        guard_b0_floor(B[0], 0.25)
+    guard_b0_floor(B[0], 0.25, 1e-9)  # a floor of exactly min |B_0| passes
 
 
 def test_full_state_round_trip_to_reduced():

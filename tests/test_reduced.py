@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
-from kgmlab.diagnostics import compare, snapshot_extras
+from kgmlab.diagnostics import (
+    compare,
+    conservation_defects,
+    current_residual,
+    snapshot_extras,
+)
 from kgmlab.full import run_full, step_full
 from kgmlab.kernel import (
     B0_FLOOR,
@@ -26,6 +31,7 @@ from kgmlab.kernel import (
     NonFinite,
     Params,
     ReducedState,
+    Trajectory,
     comb_dt,
 )
 from kgmlab.reduced import (
@@ -289,6 +295,41 @@ def test_run_attaches_failing_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises((NonFinite, DegenerateClosure), match=r"t="):
             run_reduced(s0, 0.01, 0.1, p)
+
+
+def test_run_from_a_full_state_snapshots_reduced_states():
+    # a FullState starts the run as its to_reduced(), so the diagnostics
+    # read every snapshot, the first included, as from the reduced start
+    g, p = Grid1D(n=64), Params()
+    s0 = make_scenario(default_scenario("matter-packet"), p, g)
+    dt = comb_dt(0.2, g)
+    traj = run_reduced(s0, dt, 0.2, p, every=2)
+    ref = run_reduced(s0.to_reduced(), dt, 0.2, p, every=2)
+    assert all(type(s) is ReducedState for s in traj.states)
+    assert_array_equal(current_residual(traj, p), current_residual(ref, p))
+    assert conservation_defects(traj, p) == conservation_defects(ref, p)
+    # a trajectory refuses a second flavor or grid, naming the first such snapshot
+    for odd in (s0, em_state(Grid1D(n=32))):
+        with pytest.raises(ValueError, match="^snapshot 2 is a "):
+            Trajectory(states=(*ref.states[:2], odd, s0))
+
+
+@pytest.mark.parametrize("step, scenario", [(step_full, "matter-packet"),
+                                            (step_full, "pure-gauge-wave"),
+                                            (step_reduced, "matter-packet")],
+                         ids=["full-matter", "full-free", "reduced"])
+def test_step_validates_only_its_result(monkeypatch, step, scenario):
+    # the RK4 stages are unchecked kernel.Fields: one state is built per step
+    g, p = Grid1D(n=64), Params()
+    s = make_scenario(default_scenario(scenario), p, g)
+    if step is step_reduced:
+        s = s.to_reduced()
+    built = []
+    check = ReducedState.__post_init__
+    monkeypatch.setattr(ReducedState, "__post_init__",
+                        lambda state: built.append(state) or check(state))
+    out = step(s, comb_dt(0.1, g), p)
+    assert len(built) == 1 and built[0] is out
 
 
 @pytest.mark.parametrize("n, bound_b, bound_bdot", [
