@@ -52,8 +52,8 @@ __all__ = ["accel_full", "run_full", "step_full"]
 
 
 def accel_full(s: FullState | Fields, p: Params) -> tuple[Array, Array]:
-    """(phi_ddot, B_ddot) at the given state or stage, B_ddot the (4, n)
-    block of the four rows' rates.
+    """(phi_ddot, B_ddot) at the given state, stage or block, B_ddot shaped
+    like s.B: the four rows' rates.
 
     The time component and its rate are taken from the state as carried;
     no elliptic solve happens here.
@@ -76,12 +76,12 @@ def accel_full(s: FullState | Fields, p: Params) -> tuple[Array, Array]:
     phi_ddot += mass
 
     # [D B_1, div B, Bdot_1], with div B = dB_0/dt - D B_1
-    first = np.empty((3, g.n))
-    d_b1 = deriv_x(s.B[1], g, out=first[0])
+    first = np.empty((3,) + s.B.shape[1:])
+    first[0] = d_b1 = deriv_x(s.B[1], g)
     np.subtract(s.Bdot[0], d_b1, out=first[1])
     first[2] = s.Bdot[1]
     dd = deriv_x(first, g)
-    b_ddot = np.empty((4, g.n))
+    b_ddot = np.empty_like(s.B)
     b_ddot[0] = dd[2]
     spatial_accel(s.B, dd[:2], phi_sq, p, g, out=b_ddot[1:])
     return phi_ddot, b_ddot

@@ -17,8 +17,9 @@ recomputed from the field equations wherever needed.
 A state is validated when it is built (shapes, dtypes, phi present for the
 full flavor).  Fields carries the same attribute names without any check:
 an RK4 stage inside a step, or a block of snapshots stacked by
-Trajectory.blocks.  Every rate, reconstruction and diagnostic reads those
-names, so it takes a state, a stage or a block alike.
+Trajectory.blocks.  Every rate and reconstruction reads those names, so it
+takes a state, a stage or a block alike; total_energy and snapshot_extras
+measure one state.
 """
 
 from __future__ import annotations
@@ -117,12 +118,6 @@ B0_FLOOR = 1.0e-6
 #
 # A floating input keeps its dtype (np.longdouble in, np.longdouble out);
 # any other input is cast to float64 first.
-#
-# With out= a stencil writes into the caller's array, typically some rows
-# of a larger block, and returns it.  out must have f's shape and dtype
-# (after the cast) and share no memory with f: every output point reads
-# its neighbours, so an overlapping out would overwrite input it has yet
-# to read.  A violation raises ValueError.
 
 
 def _floating(f: Array) -> Array:
@@ -130,16 +125,7 @@ def _floating(f: Array) -> Array:
     return f if f.dtype.kind == "f" else f.astype(float)
 
 
-def _check_out(f: Array, out: Array) -> None:
-    if out.shape != f.shape or out.dtype != f.dtype:
-        raise ValueError(f"out: must have shape {f.shape} and dtype {f.dtype}, "
-                         f"got {out.shape} and {out.dtype}")
-    if np.shares_memory(out, f):
-        raise ValueError("out: must not share memory with the input, "
-                         "whose neighbouring points the stencil reads")
-
-
-def deriv_x(f: Array, g: Grid1D, out: Array | None = None) -> Array:
+def deriv_x(f: Array, g: Grid1D) -> Array:
     """Centered first derivative on the periodic grid, along the last axis.
 
     Second-order accurate; antisymmetric, so each output row always sums
@@ -147,10 +133,7 @@ def deriv_x(f: Array, g: Grid1D, out: Array | None = None) -> Array:
     functions away from the periodic wrap.
     """
     f = _floating(f)
-    if out is None:
-        out = np.empty_like(f)
-    else:
-        _check_out(f, out)
+    out = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
     np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
@@ -158,13 +141,11 @@ def deriv_x(f: Array, g: Grid1D, out: Array | None = None) -> Array:
     return out
 
 
-def deriv_xx(f: Array, g: Grid1D, out: Array | None = None) -> Array:
+def deriv_xx(f: Array, g: Grid1D) -> Array:
     """Centered second derivative (compact 3-point stencil), periodic, along
     the last axis."""
     f = _floating(f)
-    if out is not None:
-        _check_out(f, out)
-    out = np.multiply(f, 2.0, out=out)
+    out = np.multiply(f, 2.0)
     # f[j+1] - 2 f[j]; the last point still holds 2 f[-1] for its wrap
     np.subtract(f[..., 1:], out[..., :-1], out=out[..., :-1])
     np.subtract(f[..., 0], out[..., -1], out=out[..., -1])
@@ -214,7 +195,7 @@ def spatial_accel(B: Array, dd: Array, Phi: Array, p: Params, g: Grid1D,
     the compact stencil.
     """
     np.add(dd[0], dd[1], out=out[0])
-    deriv_xx(B[2:], g, out=out[1:])
+    out[1:] = deriv_xx(B[2:], g)
     screen = np.multiply(2.0 * p.e**2, B[1:])
     screen *= Phi
     out -= screen

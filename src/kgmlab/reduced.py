@@ -170,10 +170,9 @@ def accel_reduced(s: ReducedState | Fields, p: Params) -> Array:
 
     The stencils run by dependency level, each call taking every row that
     is ready: D of [B_0, B_1] and of dB_1/dt, then D of [D B_0, D B_1,
-    div B], then D Phi, D Phidot and the Laplacians.  Stencils and the
-    spatial rows write straight into their rows of `first` and of the
-    result; products go through one scratch row, in the operation order of
-    the formulas below.
+    div B], then D Phi, D Phidot and the Laplacians.  The spatial rows
+    write straight into their rows of the result; products go through one
+    scratch row, in the operation order of the formulas below.
 
     The two quotients by Phi take numpy's masked divide only when some
     point of some member is below PHI_FLOOR; otherwise a plain divide gives
@@ -188,7 +187,7 @@ def accel_reduced(s: ReducedState | Fields, p: Params) -> Array:
     guard_b0_floor(b0, t)
     # first = [D B_0, D B_1, div B], second = D of each row
     first = np.empty((3,) + B.shape[1:], dtype=B.dtype)
-    deriv_x(B[:2], g, out=first[:2])
+    first[:2] = deriv_x(B[:2], g)
     div_b = np.subtract(bd0, first[1], out=first[2])
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)

@@ -106,6 +106,24 @@ def test_accel_matches_finite_difference_of_stepper():
     assert num <= 1e-6 * den
 
 
+@pytest.mark.parametrize("scenario", ["matter-packet", "pure-gauge-wave"])
+def test_accel_on_a_block_is_bit_identical_to_one_state_calls(scenario, monkeypatch):
+    # blocks of two members, so that five snapshots end on a block of one
+    g, p = Grid1D(n=64), Params()
+    s0 = make_scenario(default_scenario(scenario), p, g)
+    dt = 0.5 * g.h
+    traj = run_full(s0, dt, 4 * dt, p)
+    assert len(traj) == 5
+    monkeypatch.setattr(kernel, "BLOCK_POINTS", 2 * g.n)
+    for members, f in traj.blocks():
+        phi_ddot, b_ddot = accel_full(f, p)
+        assert b_ddot.shape == f.B.shape
+        for m, s in enumerate(traj.states[members]):
+            one_phi, one_b = accel_full(s, p)
+            assert phi_ddot[m].tobytes() == one_phi.tobytes()
+            assert b_ddot[:, m].tobytes() == one_b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------

@@ -150,44 +150,6 @@ def test_stencils_on_row_stacks_equal_row_by_row_calls(log_n, m, layout, seed):
     assert_array_equal(big, before)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(log_n=st.integers(1, 12), m=st.integers(1, 4), layout=st.sampled_from(LAYOUTS),
-       seed=st.integers(0, 2**32 - 1))
-def test_stencils_into_a_row_slice_equal_the_allocating_call(log_n, m, layout, seed):
-    # out= fills every point of the rows it is given, with the allocating
-    # call's bytes, and writes nothing else of the block around it
-    n = 2**log_n
-    g = Grid1D(n=n, length=3.0)
-    rng = np.random.default_rng(seed)
-    big = rng.standard_normal((2 * m + 2, n)) * 10.0 ** rng.uniform(-8, 8, (2 * m + 2, n))
-    f = _layout(big, m, layout)
-    before = big.copy()
-    for op in (deriv_x, deriv_xx):
-        block = np.full((m + 2, n), np.nan)
-        rows = block[1:-1]
-        assert op(f, g, out=rows) is rows
-        assert rows.tobytes() == op(f, g).tobytes()
-        assert np.isnan(block[[0, -1]]).all()
-    assert_array_equal(big, before)
-
-
-def test_stencils_refuse_an_out_that_overlaps_or_mismatches_the_input():
-    # each output point reads its neighbours, so an out aliasing f would
-    # overwrite input the stencil has yet to read
-    g = Grid1D(n=16)
-    block = np.random.default_rng(3).standard_normal((3, g.n))
-    for op in (deriv_x, deriv_xx):
-        for f, out in ((block, block), (block[:2], block[1:]), (block[0], block[0, ::-1])):
-            with pytest.raises(ValueError, match="^out: must not share memory"):
-                op(f, g, out=out)
-        with pytest.raises(ValueError, match="^out: must have shape"):
-            op(block[:2], g, out=np.empty((3, g.n)))
-        with pytest.raises(ValueError, match="^out: must have shape"):
-            op(block[:2], g, out=np.empty((2, g.n), dtype=np.float32))
-        # rows of one block that do not overlap are fine
-        assert_array_equal(op(block[:1], g, out=block[2:]), op(block[:1], g))
-
-
 @pytest.mark.parametrize("n", [2, 16, 4096])
 def test_stencils_keep_a_floating_dtype(n):
     # np.longdouble in, np.longdouble out, agreeing with float64 to 1e-15
