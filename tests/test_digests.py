@@ -7,6 +7,12 @@ run's stdout names the directory, so a run's digest leaves it out; the
 carleman demos and check write no directory.  A one-ulp change to any
 snapshot array changes its run's digest.
 
+The Carleman layer is pinned array by array as well (`ARRAYS`), since its
+commands print only a few digits of each error: the n = 2 embedding's
+Fock basis at cutoff 4, the CSR arrays of its recentred generator at
+cutoffs 3 and 4, and both classical-oracle readings.  Each array enters
+its digest as dtype, shape and C-order bytes.
+
 `check` reruns the acceptance gate.  It costs about 0.3 s when
 test_acceptance has already filled kgmlab.checks._ladder_level's cache in
 the same process, and about 1.2 s alone.
@@ -35,6 +41,14 @@ import numpy as np
 import pytest
 import scipy
 
+from kgmlab.carleman import (
+    FockBasis,
+    build_m,
+    classical_flow,
+    recenter,
+    reciprocal_drift,
+    tiny_reduced_embedding,
+)
 from kgmlab.cli import main
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -55,12 +69,40 @@ COMMANDS = [
     "carleman rotation",
     "carleman lotka",
     "carleman reduced-tiny",
+    "carleman reduced-tiny --cutoff 4",
     "check",
     "compare --n 256 --t-end 0.3",
     "convergence --t-end 0.3",
 ]
 # the commands that write an output directory, which takes --out
 WRITES = ("run-full", "run-reduced", "compare", "convergence")
+
+
+
+
+def _generator(cutoff: int) -> list[np.ndarray]:
+    _, sys_, x0 = tiny_reduced_embedding()
+    m = build_m(recenter(sys_, x0), FockBasis(k=sys_.k, cutoff=cutoff))
+    return [m.indptr, m.indices, m.data]
+
+
+def _oracles() -> list[np.ndarray]:
+    _, sys_, x0 = tiny_reduced_embedding()
+    return [classical_flow(sys_, x0, 0.05, 1e-4), np.float64(reciprocal_drift(sys_, x0, 0.5))]
+
+
+def _basis() -> list[np.ndarray]:
+    basis = FockBasis(k=24, cutoff=4)
+    return [basis.states, basis.down, basis.up]
+
+
+# name -> the arrays it pins, computed on demand
+ARRAYS = {
+    "FockBasis(24, 4) states down up": _basis,
+    "build_m(recenter(embedding), cutoff 3) indptr indices data": lambda: _generator(3),
+    "build_m(recenter(embedding), cutoff 4) indptr indices data": lambda: _generator(4),
+    "classical_flow(embedding, 0.05, 1e-4) reciprocal_drift(embedding, 0.5)": _oracles,
+}
 
 
 def versions() -> dict[str, str]:
@@ -84,28 +126,46 @@ def output_digest(command: str) -> str:
     return digest.hexdigest()
 
 
+def array_digest(name: str) -> str:
+    """SHA-256 hex digest of the arrays ARRAYS[name] pins."""
+    digest = hashlib.sha256()
+    for arr in ARRAYS[name]():
+        arr = np.asarray(arr)
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
-def recorded() -> dict[str, str]:
+def data() -> dict:
     data = json.loads(DIGESTS.read_text())
     want = {name: data[name] for name in versions()}
     if want != versions():
         pytest.skip(f"digests were recorded with {want}; this is {versions()}")
-    return data["outputs"]
+    return data
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_output_bytes_match_recorded_digest(command, recorded):
-    assert output_digest(command) == recorded[command], (
+def test_output_bytes_match_recorded_digest(command, data):
+    assert output_digest(command) == data["outputs"][command], (
         f"the output of `kgmlab {command}` moved; if on purpose, rewrite the "
         "digests with `PYTHONPATH=src python tests/test_digests.py`")
 
 
+@pytest.mark.parametrize("name", ARRAYS)
+def test_carleman_arrays_match_recorded_digest(name, data):
+    assert array_digest(name) == data["arrays"][name], (
+        f"the arrays of {name} moved; if on purpose, rewrite the digests with "
+        "`PYTHONPATH=src python tests/test_digests.py`")
+
+
 if __name__ == "__main__":
-    old = json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists() else {}
-    new = {c: output_digest(c) for c in COMMANDS}
-    DIGESTS.write_text(json.dumps({**versions(), "outputs": new}, indent=1) + "\n")
-    moved = [c for c in COMMANDS if old.get(c) != new[c]]
-    for c in moved:
-        print(f"moved: {c}: {old.get(c, 'none')[:12]} -> {new[c][:12]}")
-    print(f"wrote {len(COMMANDS)} digests to {DIGESTS}; "
-          f"{len(COMMANDS) - len(moved)} unchanged")
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = {"outputs": {c: output_digest(c) for c in COMMANDS},
+           "arrays": {a: array_digest(a) for a in ARRAYS}}
+    DIGESTS.write_text(json.dumps({**versions(), **new}, indent=1) + "\n")
+    moved = [(key, c) for key, digests in new.items() for c in digests
+             if old.get(key, {}).get(c) != digests[c]]
+    for key, c in moved:
+        print(f"moved: {c}: {old.get(key, {}).get(c, 'none')[:12]} -> {new[key][c][:12]}")
+    total = len(COMMANDS) + len(ARRAYS)
+    print(f"wrote {total} digests to {DIGESTS}; {total - len(moved)} unchanged")
