@@ -17,13 +17,14 @@ trajectories of the original system the two descriptions agree up to
 truncation, which is the property the demo systems and the tests measure:
 readout error falls monotonically as the occupation cutoff grows.
 
-`FockBasis` stores the truncated space once, as an array of occupation
-rows in lexicographic order (vacuum first) with two index maps per mode,
-`down` and `up`, giving the row one quantum lower or higher (-1 outside
-the truncation).  Every operator is read off these maps: a monomial of F_i
-followed by raise_i sends each row to at most one row, so `build_m`
-assembles M as one row map per monomial, and the coherent vector and the
-readout are array expressions over the rows.
+`FockBasis` stores the truncated space once: the occupation states in
+lexicographic order (vacuum first), held mode-major as one contiguous
+occupation row per mode, and two index maps per mode, `down` and `up`,
+giving the state one quantum lower or higher (-1 outside the truncation).
+Every operator is read off these rows: a monomial of F_i followed by
+raise_i sends each state to at most one state, so `build_m` assembles M as
+one row map per monomial, gathered from the per-mode rows, and the
+coherent vector and the readout are array expressions over them.
 
 The electromagnetic closure of `reduced` is rational, not polynomial, so
 `polynomialize_reduced` rewrites it on a tiny periodic grid with the
@@ -117,7 +118,9 @@ class PolySystem:
     monomial, each repeated by its power: x_0^2 x_3 is (0, 0, 3) and a
     constant is ().  Coefficients may be complex.  `names`, when present,
     documents the variable ordering.  The monomials are compiled once, at
-    construction, into the table `rhs` evaluates.
+    construction, into the table `rhs` evaluates: one row per monomial,
+    by degree and then by appearance, and `rhs` adds each monomial's value
+    into its variable in that table order, starting from zero.
     """
 
     k: int
@@ -146,19 +149,19 @@ class PolySystem:
         coefs = np.array([coef for _, coef, _ in table], dtype=complex)
         factors = np.array([f + (self.k,) * (top - len(f)) for _, _, f in table],
                            dtype=np.intp).reshape(len(table), top)
-        scatter = sp.csr_matrix((np.ones(len(table), dtype=complex),
-                                 (rows, np.arange(len(table)))), shape=(self.k, len(table)))
-        object.__setattr__(self, "_table", (coefs, factors, scatter))
+        object.__setattr__(self, "_table", (rows, coefs, factors))
 
     def rhs(self, x: Array) -> Array:
         """Evaluate all right-hand sides at the point x (complex output)."""
         if np.shape(x) != (self.k,):
             raise ValueError(f"x must have shape ({self.k},), got {np.shape(x)}")
-        coefs, factors, scatter = self._table
+        rows, coefs, factors = self._table
         padded = np.empty(self.k + 1, dtype=complex)
         padded[:-1] = x
         padded[-1] = 1.0
-        return scatter @ (coefs * np.multiply.reduce(padded[factors], axis=1))
+        out = np.zeros(self.k, dtype=complex)
+        np.add.at(out, rows, coefs * np.multiply.reduce(padded[factors], axis=1))
+        return out
 
 
 def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array:
@@ -233,9 +236,16 @@ class FockBasis:
     """All occupation vectors of k modes with total occupation <= cutoff.
 
     `states` holds one occupation vector per row, in lexicographic order,
-    so the vacuum is row 0; the dimension is C(cutoff + k, k).  `down[l]`
-    and `up[l]` map each row to the row with one quantum less or more in
-    mode l, and hold -1 where that state leaves the basis.
+    so the vacuum is row 0; the dimension is C(cutoff + k, k).  It is a
+    (dim, k) view of mode-major storage, so `states.T[l]` is mode l's
+    occupations as one contiguous row.  `down[l]` and `up[l]` map each row
+    to the row with one quantum less or more in mode l, and hold -1 where
+    that state leaves the basis.  All three are read-only.
+
+    The columns are built one mode at a time from the last: a state is its
+    first mode's occupation (its head) and its tail, a state of the later
+    modes, so each level of the build stores a head and a link to the tail
+    row per row, and mode l's column follows those links l levels down.
     """
 
     k: int
@@ -250,17 +260,8 @@ class FockBasis:
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         k, cutoff = self.k, self.cutoff
-        # prepend one mode at a time: the rows of head h are the current
-        # rows with total <= cutoff - h, which stay in lexicographic order;
-        # the row totals travel with the rows, for the next mode and `below`
-        states = np.zeros((1, 0), dtype=np.min_scalar_type(cutoff))
-        total = np.zeros(1, dtype=np.intp)
-        for _ in range(k):
-            heads = [total <= cutoff - h for h in range(cutoff + 1)]
-            states = np.concatenate([np.insert(states[rows], 0, h, axis=1)
-                                     for h, rows in enumerate(heads)])
-            total = np.concatenate([total[rows] + h for h, rows in enumerate(heads)])
-        dim = len(states)
+        occupation, total = _occupations(k, cutoff)
+        dim = len(total)
         assert dim == math.comb(cutoff + k, k)
 
         # tail[l, p] counts the rows over modes l..k-1 with total <= cutoff - p,
@@ -272,27 +273,54 @@ class FockBasis:
         # terms rank all k raises
         tail = np.array([[math.comb(cutoff - p + k - l, k - l) for p in range(cutoff + 1)]
                          for l in range(k)], dtype=np.int64)
-        modes = np.arange(k)
+        modes = np.arange(k)[:, None]
         down = np.full((k, dim), -1, dtype=np.int32 if dim <= 2**31 - 1 else np.int64)
         up = np.full_like(down, -1)
         below = np.flatnonzero(total < cutoff)
-        occ = states[below]
-        after = np.cumsum(occ, axis=1, dtype=np.intp)
+        occ = occupation[:, below]
+        after = np.cumsum(occ, axis=0, dtype=np.intp)
         before = after - occ
         kept = tail[modes, before] - tail[modes, after]
         shifted = tail[modes, before + 1] - tail[modes, after + 1]
-        prefix = np.cumsum(kept, axis=1) - kept
-        suffix = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1] - shifted
+        prefix = np.cumsum(kept, axis=0) - kept
+        suffix = np.cumsum(shifted[::-1], axis=0)[::-1] - shifted
         to = prefix + tail[modes, before] - tail[modes, after + 1] + suffix
-        up[:, below] = to.T
-        down[modes, to] = below[:, None]
-        for name, arr in (("states", states), ("down", down), ("up", up)):
+        up[:, below] = to
+        down[modes, to] = below
+        occupation.flags.writeable = False
+        for name, arr in (("states", occupation.T), ("down", down), ("up", up)):
             arr.flags.writeable = False  # frozen like the basis itself
             object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return len(self.states)
+
+
+def _occupations(k: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """FockBasis(k, cutoff)'s occupations, mode-major (one row of dim per
+    mode), and each state's total occupation.  The per-level links die
+    with the call, before the basis ranks its index maps."""
+    # prepend one mode at a time: the rows of head h are the rows of the
+    # level before (the later modes) with total <= cutoff - h, which stay in
+    # lexicographic order, so a row is its head and a link to its tail row
+    # there; the row totals travel with the rows, for the next mode
+    dtype = np.min_scalar_type(cutoff)
+    total = np.zeros(1, dtype=np.intp)
+    levels = []
+    for _ in range(k):
+        tails = [np.flatnonzero(total <= cutoff - h) for h in range(cutoff + 1)]
+        levels.append((np.repeat(np.arange(cutoff + 1, dtype=dtype), [len(t) for t in tails]),
+                       np.concatenate(tails)))
+        total = np.concatenate([total[t] + h for h, t in enumerate(tails)])
+    # mode l's column is each row's head l levels down its chain of links
+    occupation = np.empty((k, len(total)), dtype=dtype)
+    occupation[0], row = levels.pop()
+    for l in range(1, k):
+        head, link = levels.pop()
+        occupation[l] = head.take(row)
+        row = link.take(row)
+    return occupation, total
 
 
 def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[sp.csr_matrix, ...]]:
@@ -308,8 +336,8 @@ def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[
     lower = []
     for l in range(basis.k):
         cols = np.flatnonzero(basis.down[l] >= 0)
-        lower.append(sp.csr_matrix((sqrt_n[basis.states[cols, l]], (basis.down[l, cols], cols)),
-                                   shape=(dim, dim)))
+        lower.append(sp.csr_matrix((sqrt_n.take(basis.states.T[l].take(cols)),
+                                    (basis.down[l].take(cols), cols)), shape=(dim, dim)))
     raise_ = tuple(m.T.tocsr() for m in lower)
     return tuple(lower), raise_
 
@@ -333,7 +361,19 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
         raise CutoffTooSmall("occupation cutoff must be at least 1 to carry any dynamics")
     if sys.k != basis.k:
         raise ValueError(f"system has {sys.k} variables but basis has {basis.k} modes")
+    rows, cols, vals = _row_maps(sys, basis)
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(basis.dim, basis.dim)).tocsr()
+    m.eliminate_zeros()
+    return m
+
+
+def _row_maps(sys: PolySystem, basis: FockBasis) -> tuple[list, list, list]:
+    """Rows, columns and values of build_m's row maps, one array each per
+    monomial in the order of `sys.terms`, behind one empty array each.  The
+    prefix chains die with the call, before the sparse assembly."""
     sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
+    occupation = basis.states.T
     empty = np.empty(0, dtype=basis.down.dtype)
     rows, cols, vals = [empty], [empty], [np.empty(0, dtype=complex)]
     monomials = [(i, coef, factors) for i, var_terms in enumerate(sys.terms)
@@ -350,24 +390,22 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
         for head in prefixes:
             if head not in chains:
                 at, src, amp = chains[head[:-1]]
-                to = basis.down[head[-1], at]
-                live = to >= 0
-                chains[head] = (to[live], src[live],
-                                amp[live] * sqrt_n[basis.states[at[live], head[-1]]])
+                l = head[-1]
+                to = basis.down[l].take(at)
+                live = np.flatnonzero(to >= 0)
+                chains[head] = (to.take(live), src.take(live), amp.take(live)
+                                * sqrt_n.take(occupation[l].take(at.take(live))))
         at, src, amp = chains[factors]
-        to = basis.up[i, at]
-        live = to >= 0
-        at, src = to[live], src[live]
+        to = basis.up[i].take(at)
+        live = np.flatnonzero(to >= 0)
+        at, src = to.take(live), src.take(live)
         rows.append(at)
         cols.append(src)
-        vals.append(complex(coef) * amp[live] * sqrt_n[basis.states[at, i]])
+        vals.append(complex(coef) * amp.take(live) * sqrt_n.take(occupation[i].take(at)))
         for head in prefixes:
             if last[head] == n:
                 del chains[head]
-    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(basis.dim, basis.dim)).tocsr()
-    m.eliminate_zeros()
-    return m
+    return rows, cols, vals
 
 
 def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
@@ -385,8 +423,8 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     for n in range(1, basis.cutoff + 1):
         factor[:, n] = factor[:, n - 1] * xi0 / math.sqrt(n)
     v = np.full(basis.dim, math.exp(-0.5 * float(np.sum(np.abs(xi0) ** 2))), dtype=complex)
-    for l in range(basis.k):
-        v *= factor[l, basis.states[:, l]]
+    for l, occ in enumerate(basis.states.T):
+        v *= factor[l].take(occ)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(v) ** 2)))
     if tail > 1e-12:
         warnings.warn(

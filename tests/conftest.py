@@ -11,7 +11,10 @@ package's direct LAPACK call must match bit for bit.
 
 The truncated Fock space is referenced the same way: an `itertools`
 enumeration with a dict index, per-state ladder loops, and the generator
-built as sparse products of cached lowering-matrix powers.
+built as sparse products of cached lowering-matrix powers.  A polynomial
+system's right-hand side keeps its earlier form, the monomial values
+summed into their variables by a sparse 0/1 scatter matrix, which the
+package's scatter-free sum must match bit for bit.
 """
 
 from __future__ import annotations
@@ -172,3 +175,19 @@ def reference_build_m(sys_, cutoff):
             f_i = f_i + complex(coef) * op
         m = m + raise_[i] @ f_i
     return m.tocsr()
+
+
+def reference_rhs(sys_, x):
+    """PolySystem.rhs as a CSR matvec: one 0/1 column per monomial, ordered
+    by degree and then by appearance, summed into its variable's row."""
+    table = sorted(((i, coef, factors) for i, var_terms in enumerate(sys_.terms)
+                    for coef, factors in var_terms), key=lambda row: len(row[2]))
+    top = max((len(factors) for _, _, factors in table), default=0)
+    rows = np.array([i for i, _, _ in table], dtype=np.intp)
+    coefs = np.array([coef for _, coef, _ in table], dtype=complex)
+    factors = np.array([f + (sys_.k,) * (top - len(f)) for _, _, f in table],
+                       dtype=np.intp).reshape(len(table), top)
+    scatter = sp.csr_matrix((np.ones(len(table), dtype=complex),
+                             (rows, np.arange(len(table)))), shape=(sys_.k, len(table)))
+    padded = np.append(np.asarray(x, dtype=complex), 1.0)
+    return scatter @ (coefs * np.multiply.reduce(padded[factors], axis=1))

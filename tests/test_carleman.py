@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-from conftest import reference_build_m, reference_ladder, reference_states
+from conftest import reference_build_m, reference_ladder, reference_rhs, reference_states
 from hypothesis import example, given, settings
 from numpy.testing import assert_allclose
 
@@ -102,6 +102,25 @@ def test_basis_and_ladder_match_itertools_enumeration(k, cutoff):
         for got, ref in zip(ladder_matrices(basis), reference_ladder(k, cutoff)):
             for a, b in zip(got, ref):
                 assert np.array_equal(a.toarray(), b.toarray())
+
+
+@pytest.mark.parametrize("k, cutoff", [
+    (1, 16), (2, 6), (3, 5), (24, 4), (48, 2), (5, 0), (7, 1), (1, 300),
+])
+def test_basis_arrays_keep_their_shapes_dtypes_and_read_only_flags(k, cutoff):
+    basis = FockBasis(k=k, cutoff=cutoff)
+    dim = math.comb(cutoff + k, k)
+    assert basis.dim == dim
+    assert basis.states.shape == (dim, k)
+    assert basis.states.dtype == np.min_scalar_type(cutoff)
+    assert basis.states.T.flags.c_contiguous  # one contiguous row per mode
+    for maps in (basis.down, basis.up):
+        assert maps.shape == (k, dim)
+        assert maps.dtype == np.int32
+    for arr in (basis.states, basis.states.T, basis.states.base, basis.down, basis.up):
+        assert arr is not None and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_ladder_single_mode_textbook_matrix():
@@ -598,6 +617,19 @@ def test_polynomialize_matches_integrator_pointwise():
     assert np.max(np.abs(rhs[16:32].reshape(4, 4) - acc)) <= 1e-12
     Phi = reconstruct_phi(s, p)
     assert np.max(np.abs(rhs[32:36] - reconstruct_phi_dot(s, Phi))) <= 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(poly_systems(max_degree=6), st.data())
+def test_rhs_is_the_scatter_product_bit_for_bit(case, data):
+    # each variable sums its monomials from zero in table order, as the CSR
+    # matvec of the 0/1 scatter matrix did, so the bytes agree exactly
+    sys_, _ = case
+    value = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    x = np.array(data.draw(st.lists(value, min_size=sys_.k, max_size=sys_.k)), dtype=complex)
+    got = sys_.rhs(x)
+    assert got.dtype == complex and got.shape == (sys_.k,)
+    assert got.tobytes() == reference_rhs(sys_, x).tobytes()
 
 
 def test_rhs_refuses_a_point_of_the_wrong_shape():
