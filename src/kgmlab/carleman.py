@@ -59,6 +59,7 @@ from .kernel import (
     deriv_x,
     deriv_xx,
     rk4,
+    step_count,
 )
 from .reduced import PHI_FLOOR, below_phi_floor, reconstruct_phi, reconstruct_phi_dot
 
@@ -178,7 +179,7 @@ def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array
     x = np.asarray(x0, dtype=complex).copy()
     if t_end == 0.0:
         return x
-    n_steps = max(1, math.ceil(abs(t_end) / abs(dt)))
+    n_steps = max(1, math.ceil(step_count(abs(t_end) / abs(dt), t_end)))
     step = t_end / n_steps
 
     def rhs(t, x):
@@ -450,7 +451,7 @@ def evolve(m: sp.spmatrix, v0: Array, t_end: float) -> Array:
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
-    pieces = max(1, math.ceil(abs(t_end) * spla.norm(m, 1) / 1000.0))
+    pieces = max(1, math.ceil(step_count(abs(t_end) * float(spla.norm(m, 1)) / 1000.0, t_end)))
     step = (t_end / pieces) * m
     v = np.asarray(v0, dtype=complex)
     for _ in range(pieces):
@@ -708,7 +709,7 @@ def reciprocal_drift(sys: PolySystem, x0: Array, t_end: float) -> float:
     inv = _POLY_FIELDS.index("inv_intensity") * n
     drift = 0.0
     x = x0
-    steps = max(1, math.ceil(abs(t_end) / 1.0e-3))
+    steps = max(1, math.ceil(step_count(abs(t_end) / 1.0e-3, t_end)))
     for _ in range(steps):
         x = classical_flow(sys, x, t_end / steps, 1.0e-3)
         drift = max(drift, float(np.max(np.abs(x[inv:inv + n] * x[phi:phi + n] - 1.0))))

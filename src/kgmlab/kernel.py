@@ -431,12 +431,20 @@ def rk4(rhs: Callable, t: float, y: tuple[Array, ...], dt: float) -> tuple[Array
 COMB_FRACTION = 0.5
 
 
+def step_count(count: float, t_end: float) -> float:
+    """count, the number of steps (or pieces) a run to t_end takes, once it
+    is known to fit a float; a ValueError naming t_end when it overflows."""
+    if not math.isfinite(count):
+        raise ValueError(f"t_end={t_end!r} takes more steps than a float can count")
+    return count
+
+
 def comb_dt(t_end: float, g: Grid1D) -> float:
     """The stable step comb: the largest dt <= COMB_FRACTION * h that lands
     exactly on t_end (COMB_FRACTION * h itself when t_end = 0)."""
     if t_end == 0.0:
         return COMB_FRACTION * g.h
-    return t_end / math.ceil(abs(t_end) / (COMB_FRACTION * g.h))
+    return t_end / math.ceil(step_count(abs(t_end) / (COMB_FRACTION * g.h), t_end))
 
 
 def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
@@ -458,7 +466,7 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
     if not math.isfinite(s0.t):
         raise ValueError(f"start time t must be finite, got {s0.t!r}")
     span = t_end - s0.t
-    n_steps = int(round(span / dt))
+    n_steps = int(round(step_count(span / dt, t_end)))
     if n_steps < 0 or abs(s0.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end={t_end!r} is not reachable from t={s0.t!r} in steps of {dt!r}")
 

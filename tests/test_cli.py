@@ -273,6 +273,27 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
     assert "not reachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-reduced", "--n", "64", "--t-end", "1e308"],
+    ["compare", "--n", "64", "--t-end", "1e308"],
+    ["convergence", "--t-end", "1e308"],
+    ["run-full", "--n", "64", "--t-end", "1e300", "--dt", "1e-10"],
+    ["carleman", "lotka", "--t-end", "1e308"],
+    ["carleman", "riccati", "--t-end", "1e308"],
+    ["carleman", "reduced-tiny", "--t-end", "1e308"],
+], ids=["run-reduced", "compare", "convergence", "run-full", "lotka", "riccati",
+        "reduced-tiny"])
+def test_step_count_overflow_exits_2(tmp_path, capsys, argv):
+    # a finite horizon whose step count overflows a float: the comb step
+    # (run-reduced, compare, convergence), the run driver (run-full), the
+    # classical oracle (lotka), the Fock propagation (riccati) and the
+    # reciprocal drift (reduced-tiny) each refuse it by name
+    if argv[0] != "carleman":
+        argv = [*argv, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "config error: t_end=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, flags, key", [
     ("params.e = nan", [], "params.e"),
     ("params.m = inf", [], "params.m"),
