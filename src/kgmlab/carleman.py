@@ -170,7 +170,8 @@ def classical_flow(sys: PolySystem, x0: Array, t_end: float, dt: float) -> Array
 
     The step is shrunk so an integer number of steps lands exactly on t_end;
     used as the high-accuracy oracle for the Fock-space readout.  Raises
-    ValueError unless t_end is finite and dt finite and nonzero.
+    ValueError unless t_end is finite, dt finite and nonzero, and the step
+    count finite.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -241,12 +242,10 @@ class FockBasis:
     (dim, k) view of mode-major storage, so `states.T[l]` is mode l's
     occupations as one contiguous row.  `down[l]` and `up[l]` map each row
     to the row with one quantum less or more in mode l, and hold -1 where
-    that state leaves the basis.  All three are read-only.
-
-    The columns are built one mode at a time from the last: a state is its
-    first mode's occupation (its head) and its tail, a state of the later
-    modes, so each level of the build stores a head and a link to the tail
-    row per row, and mode l's column follows those links l levels down.
+    that state leaves the basis.  All three are read-only.  The occupation
+    rows are built from links: each state is its first mode's occupation
+    and a link to its tail, a state of the later modes, so mode l's row is
+    one 1-D gather per level down that chain.
     """
 
     k: int
@@ -337,8 +336,8 @@ def ladder_matrices(basis: FockBasis) -> tuple[tuple[sp.csr_matrix, ...], tuple[
     lower = []
     for l in range(basis.k):
         cols = np.flatnonzero(basis.down[l] >= 0)
-        lower.append(sp.csr_matrix((sqrt_n.take(basis.states.T[l].take(cols)),
-                                    (basis.down[l].take(cols), cols)), shape=(dim, dim)))
+        lower.append(sp.csr_matrix((sqrt_n[basis.states[cols, l]], (basis.down[l, cols], cols)),
+                                   shape=(dim, dim)))
     raise_ = tuple(m.T.tocsr() for m in lower)
     return tuple(lower), raise_
 
@@ -447,7 +446,7 @@ def evolve(m: sp.spmatrix, v0: Array, t_end: float) -> Array:
     <= 1000 and the amplitudes are checked after each, so a flow that
     overflows stops at the first piece that does instead of after the
     whole horizon's work.  The generator is assumed time-independent.
-    Raises ValueError unless t_end is finite.
+    Raises ValueError unless t_end and the piece count are finite.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")

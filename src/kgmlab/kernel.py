@@ -454,7 +454,8 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
 
     Snapshot times are s0.t + k*dt with exact integer step counts; s0.t
     must be finite, t_end must be finite and sit on the step comb to within
-    1e-9, and dt must be finite and nonzero.  A SimulationError from a step
+    1e-9 at a step count that fits a float, and dt must be finite and
+    nonzero.  A SimulationError from a step
     is re-raised as the same type, naming the time it was stepping to.
     """
     if every < 1:
