@@ -112,9 +112,15 @@ B0_FLOOR = 1.0e-6
 # each one ufunc call into their place, so no shifted copy of the input and
 # no temporary is ever allocated.  Each output point is formed in the same
 # IEEE operation order as the periodic-shift definition,
-# (f[j+1] - f[j-1]) / (2h) and ((f[j+1] - 2 f[j]) + f[j-1]) / (h*h), so the
-# results are bit-identical to it, row by row, including at n = 2 and n = 4
-# where the two stencil legs land on the same points.
+# (f[j+1] - f[j-1]) * fl(1/(2h)) and ((f[j+1] - 2 f[j]) + f[j-1]) * fl(1/(h*h)),
+# so the results are bit-identical to it, row by row, including at n = 2 and
+# n = 4 where the two stencil legs land on the same points.
+#
+# The scale is a multiplication by a reciprocal formed once per call, not a
+# division: a full-row division costs about three multiplications, and
+# x * fl(1/c) is within about 2u of x / c.  On a unit vector the weights are
+# exactly fl(1/(2h)), fl(1/(h*h)) and -2 fl(1/(h*h)), which is what the
+# Carleman lift reads off the stencils.
 #
 # A floating input keeps its dtype (np.longdouble in, np.longdouble out);
 # any other input is cast to float64 first.
@@ -130,20 +136,22 @@ def deriv_x(f: Array, g: Grid1D) -> Array:
 
     Second-order accurate; antisymmetric, so each output row always sums
     to zero over the grid.  Exact for constants everywhere and for linear
-    functions away from the periodic wrap.
+    functions away from the periodic wrap.  Each point is
+    (f[j+1] - f[j-1]) * fl(1/(2h)).
     """
     f = _floating(f)
     out = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
     np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
-    out /= 2.0 * g.h
+    out *= 1.0 / (2.0 * g.h)
     return out
 
 
 def deriv_xx(f: Array, g: Grid1D) -> Array:
     """Centered second derivative (compact 3-point stencil), periodic, along
-    the last axis."""
+    the last axis.  Each point is ((f[j+1] - 2 f[j]) + f[j-1]) * fl(1/(h*h)).
+    """
     f = _floating(f)
     out = np.multiply(f, 2.0)
     # f[j+1] - 2 f[j]; the last point still holds 2 f[-1] for its wrap
@@ -152,7 +160,7 @@ def deriv_xx(f: Array, g: Grid1D) -> Array:
     # ... + f[j-1]
     out[..., 1:] += f[..., :-1]
     np.add(out[..., 0], f[..., -1], out=out[..., 0])
-    out /= g.h * g.h
+    out *= 1.0 / (g.h * g.h)
     return out
 
 
@@ -433,9 +441,15 @@ COMB_FRACTION = 0.5
 
 def step_count(count: float, t_end: float) -> float:
     """count, the number of steps (or pieces) a run to t_end takes, once it
-    is known to fit a float; a ValueError naming t_end when it overflows."""
-    if not math.isfinite(count):
-        raise ValueError(f"t_end={t_end!r} takes more steps than a float can count")
+    is known to be at most 2**53 in size; a ValueError naming t_end when it
+    is larger or not finite.
+
+    2**53 is the largest count at which a float still holds every integer,
+    so a step count and the times s0.t + k*dt built from it stay exact; a
+    larger one would also run without bound.
+    """
+    if not abs(count) <= 2.0**53:
+        raise ValueError(f"t_end={t_end!r} takes more than 2**53 steps")
     return count
 
 
@@ -454,7 +468,7 @@ def run_trajectory(step: Callable, s0: ReducedState, dt: float, t_end: float,
 
     Snapshot times are s0.t + k*dt with exact integer step counts; s0.t
     must be finite, t_end must be finite and sit on the step comb to within
-    1e-9 at a step count that fits a float, and dt must be finite and
+    1e-9 at a step count of at most 2**53, and dt must be finite and
     nonzero.  A SimulationError from a step
     is re-raised as the same type, naming the time it was stepping to.
     """

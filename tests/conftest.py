@@ -33,15 +33,15 @@ from kgmlab.scenarios import SingularOperator
 
 
 def roll_deriv_x(f, g):
-    """(f[j+1] - f[j-1]) / (2h) along the last axis, built from two
+    """(f[j+1] - f[j-1]) * fl(1/(2h)) along the last axis, built from two
     shifted copies."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * g.h)
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) * (1.0 / (2.0 * g.h))
 
 
 def roll_deriv_xx(f, g):
-    """((f[j+1] - 2 f[j]) + f[j-1]) / (h*h) along the last axis, built from
-    two shifted copies."""
-    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (g.h * g.h)
+    """((f[j+1] - 2 f[j]) + f[j-1]) * fl(1/(h*h)) along the last axis, built
+    from two shifted copies."""
+    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) * (1.0 / (g.h * g.h))
 
 
 @pytest.fixture

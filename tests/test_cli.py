@@ -281,13 +281,20 @@ def test_unreachable_t_end_exits_2(tmp_path, capsys):
     ["carleman", "lotka", "--t-end", "1e308"],
     ["carleman", "riccati", "--t-end", "1e308"],
     ["carleman", "reduced-tiny", "--t-end", "1e308"],
+    ["carleman", "riccati", "--t-end", "1e300"],
+    ["run-reduced", "--n", "64", "--t-end", "1e20"],
+    ["carleman", "lotka", "--t-end", "1e20"],
+    ["carleman", "reduced-tiny", "--t-end", "1e20"],
 ], ids=["run-reduced", "compare", "convergence", "run-full", "lotka", "riccati",
-        "reduced-tiny"])
+        "reduced-tiny", "riccati-huge", "run-reduced-huge", "lotka-huge",
+        "reduced-tiny-huge"])
 def test_step_count_overflow_exits_2(tmp_path, capsys, argv):
     # a finite horizon whose step count overflows a float: the comb step
     # (run-reduced, compare, convergence), the run driver (run-full), the
     # classical oracle (lotka), the Fock propagation (riccati) and the
-    # reciprocal drift (reduced-tiny) each refuse it by name
+    # reciprocal drift (reduced-tiny) each refuse it by name.  The -huge
+    # cases are finite counts past 2**53, which would otherwise run without
+    # bound; they are refused before the first step too
     if argv[0] != "carleman":
         argv = [*argv, "--out", str(tmp_path / "o")]
     assert main(argv) == 2

@@ -21,6 +21,7 @@ from kgmlab.kernel import (
     guard_b0_floor,
     lorentz_dot,
     rk4,
+    step_count,
 )
 
 
@@ -42,31 +43,36 @@ def test_params_validation():
             Params(**bad)
 
 
-def test_deriv_x_spike_column():
-    # Applying the antisymmetric centered stencil to a unit spike at j
-    # returns the j-th matrix column: +1/(2h) one cell left, -1/(2h) one
-    # cell right of the spike.
-    g = Grid1D(n=16)
-    j = 5
-    f = np.zeros(g.n)
-    f[j] = 1.0
-    out = deriv_x(f, g)
-    expected = np.zeros(g.n)
-    expected[j - 1] = +1.0 / (2.0 * g.h)
-    expected[j + 1] = -1.0 / (2.0 * g.h)
-    assert_array_equal(out, expected)
+@pytest.mark.parametrize("length", [2.0 * np.pi, 3.0])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_unit_vector_weights_are_exact_reciprocal_multiples(n, length):
+    # A unit spike at j returns the j-th matrix column: +1 one cell left
+    # and -1 one cell right for deriv_x, 1, -2, 1 for deriv_xx, legs that
+    # land on one point summed (n = 2), times the scale fl(1/(2h)) or
+    # fl(1/(h*h)).  polynomialize_reduced reads its weights off these
+    # columns; the products are exact, so they equal the weights divided by
+    # the spacing as well, and the Carleman layer keeps its bits.
+    g = Grid1D(n=n, length=length)
+    for op, legs, span in ((deriv_x, {-1: 1, 1: -1}, 2.0 * g.h),
+                           (deriv_xx, {-1: 1, 0: -2, 1: 1}, g.h * g.h)):
+        for j in range(n):
+            f = np.zeros(n)
+            f[j] = 1.0
+            weights = np.zeros(n)
+            for shift, w in legs.items():
+                weights[(j + shift) % n] += w
+            out = op(f, g)
+            assert_array_equal(out, weights * (1.0 / span))
+            assert_array_equal(out, weights / span)
 
 
-def test_deriv_xx_spike_column():
-    g = Grid1D(n=16)
-    j = 0  # wrap case on purpose
-    f = np.zeros(g.n)
-    f[j] = 1.0
-    out = deriv_xx(f, g)
-    expected = np.zeros(g.n)
-    expected[j] = -2.0 / g.h**2
-    expected[j - 1] = expected[(j + 1) % g.n] = 1.0 / g.h**2
-    assert_array_equal(out, expected)
+def test_step_count_refuses_past_two_to_the_53():
+    # the largest count at which a float still holds every integer
+    assert step_count(2.0**53, 1.0) == 2.0**53
+    assert step_count(-(2.0**53), 1.0) == -(2.0**53)
+    for bad in (2.0**53 + 2, -(2.0**53) - 2, 1e300, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"^t_end=1\.0 "):
+            step_count(bad, 1.0)
 
 
 def test_deriv_x_linear_interior_exact():
