@@ -43,6 +43,33 @@ def test_params_validation():
             Params(**bad)
 
 
+def test_deriv_x_spike_column():
+    # Applying the antisymmetric centered stencil to a unit spike at j
+    # returns the j-th matrix column: +1/(2h) one cell left, -1/(2h) one
+    # cell right of the spike.
+    g = Grid1D(n=16)
+    j = 5
+    f = np.zeros(g.n)
+    f[j] = 1.0
+    out = deriv_x(f, g)
+    expected = np.zeros(g.n)
+    expected[j - 1] = +1.0 / (2.0 * g.h)
+    expected[j + 1] = -1.0 / (2.0 * g.h)
+    assert_array_equal(out, expected)
+
+
+def test_deriv_xx_spike_column():
+    g = Grid1D(n=16)
+    j = 0  # wrap case on purpose
+    f = np.zeros(g.n)
+    f[j] = 1.0
+    out = deriv_xx(f, g)
+    expected = np.zeros(g.n)
+    expected[j] = -2.0 / g.h**2
+    expected[j - 1] = expected[(j + 1) % g.n] = 1.0 / g.h**2
+    assert_array_equal(out, expected)
+
+
 @pytest.mark.parametrize("length", [2.0 * np.pi, 3.0])
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_unit_vector_weights_are_exact_reciprocal_multiples(n, length):
