@@ -19,8 +19,8 @@ readout error falls monotonically as the occupation cutoff grows.
 
 `FockBasis` stores the truncated space once: the occupation states in
 lexicographic order (vacuum first), held mode-major as one contiguous
-occupation row per mode, and two index maps per mode, `down` and `up`,
-giving the state one quantum lower or higher (-1 outside the truncation).
+occupation row per mode, and one index map per mode, `down`, giving the
+state one quantum lower (-1 where there is none); a raise is its inverse.
 Every operator is read off these rows: a monomial of F_i followed by
 raise_i sends each state to at most one state, so `build_m` assembles M as
 one row map per monomial, gathered from the per-mode rows, and the
@@ -240,19 +240,18 @@ class FockBasis:
     `states` holds one occupation vector per row, in lexicographic order,
     so the vacuum is row 0; the dimension is C(cutoff + k, k).  It is a
     (dim, k) view of mode-major storage, so `states.T[l]` is mode l's
-    occupations as one contiguous row.  `down[l]` and `up[l]` map each row
-    to the row with one quantum less or more in mode l, and hold -1 where
-    that state leaves the basis.  All three are read-only.  The occupation
-    rows are built from links: each state is its first mode's occupation
-    and a link to its tail, a state of the later modes, so mode l's row is
-    one 1-D gather per level down that chain.
+    occupations as one contiguous row.  `down[l]` maps each row to the row
+    with one quantum less in mode l, -1 where mode l is empty; a raise is
+    its inverse, ranked only to fill it.  Both are read-only.  The
+    occupation rows are built from links: each state is its first mode's
+    occupation and a link to its tail, a state of the later modes, so mode
+    l's row is one 1-D gather per level down that chain.
     """
 
     k: int
     cutoff: int
     states: np.ndarray = field(init=False, repr=False)
     down: np.ndarray = field(init=False, repr=False)
-    up: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -270,12 +269,11 @@ class FockBasis:
         # Raising mode l keeps the terms below l, ends term l at P_{l+1} + 1
         # and shifts every later term to tail[j, P_j + 1] - tail[j, P_{j+1} + 1],
         # so one prefix sum of the terms and one suffix sum of the shifted
-        # terms rank all k raises
+        # terms rank all k raises, whose inverses are the lowerings
         tail = np.array([[math.comb(cutoff - p + k - l, k - l) for p in range(cutoff + 1)]
                          for l in range(k)], dtype=np.int64)
         modes = np.arange(k)[:, None]
         down = np.full((k, dim), -1, dtype=np.int32 if dim <= 2**31 - 1 else np.int64)
-        up = np.full_like(down, -1)
         below = np.flatnonzero(total < cutoff)
         occ = occupation[:, below]
         after = np.cumsum(occ, axis=0, dtype=np.intp)
@@ -285,10 +283,9 @@ class FockBasis:
         prefix = np.cumsum(kept, axis=0) - kept
         suffix = np.cumsum(shifted[::-1], axis=0)[::-1] - shifted
         to = prefix + tail[modes, before] - tail[modes, after + 1] + suffix
-        up[:, below] = to
         down[modes, to] = below
         occupation.flags.writeable = False
-        for name, arr in (("states", occupation.T), ("down", down), ("up", up)):
+        for name, arr in (("states", occupation.T), ("down", down)):
             arr.flags.writeable = False  # frozen like the basis itself
             object.__setattr__(self, name, arr)
 
@@ -348,22 +345,26 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
     A monomial of F_i, coef times the lowering operators of its factors,
     followed by raise_i, sends each basis row to at most one row, so it is
     one row map: the rows are followed through `basis.down` once per factor
-    and `basis.up` for the raise, the sqrt(occupation) amplitudes multiplied
-    along the way.  Monomials share factor prefixes ((0,), (0, 1), (0, 1, 1)
-    ...), so each prefix is followed once per call, from its parent's rows,
-    and kept until the last monomial through it; each monomial applies only
-    its raise, in the order of `sys.terms`.  All maps are assembled as one
-    sparse matrix, duplicates summed and exact zeros dropped.  Lowering
-    operators commute exactly on the truncated space, so the factor order
-    inside a monomial is immaterial (the nondecreasing factor order is used).
+    and down[i]'s inverse for the raise, the sqrt(occupation) amplitudes
+    multiplied along the way.  Monomials share factor prefixes ((0,), (0, 1),
+    (0, 1, 1) ...), so each prefix is followed once per call, from its
+    parent's rows, and kept until the last monomial through it; each
+    monomial applies only its raise, in the order of `sys.terms`.  All maps
+    are assembled as one sparse matrix, duplicates summed and exact zeros
+    dropped; their rows, columns and values are joined in turn, each list
+    freed as its array replaces it.  Lowering operators commute exactly on
+    the truncated space, so the factor order inside a monomial is immaterial
+    (the nondecreasing factor order is used).
     """
     if basis.cutoff < 1:
         raise CutoffTooSmall("occupation cutoff must be at least 1 to carry any dynamics")
     if sys.k != basis.k:
         raise ValueError(f"system has {sys.k} variables but basis has {basis.k} modes")
     rows, cols, vals = _row_maps(sys, basis)
-    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(basis.dim, basis.dim)).tocsr()
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
     m.eliminate_zeros()
     return m
 
@@ -371,7 +372,7 @@ def build_m(sys: PolySystem, basis: FockBasis) -> sp.csr_matrix:
 def _row_maps(sys: PolySystem, basis: FockBasis) -> tuple[list, list, list]:
     """Rows, columns and values of build_m's row maps, one array each per
     monomial in the order of `sys.terms`, behind one empty array each.  The
-    prefix chains die with the call, before the sparse assembly."""
+    prefix chains and raise rows die with the call, before the assembly."""
     sqrt_n = np.sqrt(np.arange(basis.cutoff + 1))
     occupation = basis.states.T
     empty = np.empty(0, dtype=basis.down.dtype)
@@ -385,7 +386,13 @@ def _row_maps(sys: PolySystem, basis: FockBasis) -> tuple[list, list, list]:
     last = {factors[:depth]: n for n, (_, _, factors) in enumerate(monomials)
             for depth in range(len(factors) + 1)}
 
+    # raise_i, down[i]'s inverse, in one row refilled as the monomials come by variable
+    raised, up = None, np.empty(basis.dim, dtype=basis.down.dtype)
     for n, (i, coef, factors) in enumerate(monomials):
+        if i != raised:
+            raised, lowered = i, np.flatnonzero(basis.down[i] >= 0)
+            up.fill(-1)
+            up[basis.down[i].take(lowered)] = lowered
         prefixes = [factors[:depth] for depth in range(len(factors) + 1)]
         for head in prefixes:
             if head not in chains:
@@ -396,7 +403,7 @@ def _row_maps(sys: PolySystem, basis: FockBasis) -> tuple[list, list, list]:
                 chains[head] = (to.take(live), src.take(live), amp.take(live)
                                 * sqrt_n.take(occupation[l].take(at.take(live))))
         at, src, amp = chains[factors]
-        to = basis.up[i].take(at)
+        to = up.take(at)
         live = np.flatnonzero(to >= 0)
         at, src = to.take(live), src.take(live)
         rows.append(at)
@@ -464,8 +471,8 @@ def readout(v: Array, basis: FockBasis) -> Array:
     """Classical trajectory point encoded in a Fock vector.
 
     Per mode, the ratio of the single-occupation amplitude to the vacuum
-    amplitude.  The ratio form makes the overall scale of v irrelevant,
-    which is what permits non-norm-preserving generators.
+    amplitude, zero at cutoff 0.  The ratio form makes the overall scale of
+    v irrelevant, which is what permits non-norm-preserving generators.
     """
     v = np.asarray(v, dtype=complex)
     vac = v[0]
@@ -474,10 +481,10 @@ def readout(v: Array, basis: FockBasis) -> Array:
         raise VacuumOrthogonal(
             f"vacuum amplitude {abs(vac):.3e} below 1e-14 of the vector norm {scale:.3e}"
         )
-    single = basis.up[:, 0]
-    has = single >= 0
     out = np.zeros(basis.k, dtype=complex)
-    out[has] = v[single[has]] / vac
+    if basis.cutoff:
+        # one quantum in mode l = k - j follows every state of the j - 1 later modes
+        out[:] = v[[math.comb(basis.cutoff - 1 + j, j - 1) for j in range(basis.k, 0, -1)]] / vac
     return out
 
 

@@ -22,7 +22,7 @@ from .kernel import (
     Trajectory,
     deriv_x,
 )
-from .reduced import below_phi_floor, intensity
+from .reduced import below_phi_floor, reconstruct_phi, reconstruct_phi_dot
 
 __all__ = [
     "CompareReport",
@@ -54,7 +54,8 @@ def _intensity(s: ReducedState | Fields, p: Params) -> tuple[Array, Array]:
     """(Phi, Phidot) of a state or a block, for either flavor."""
     if s.phi is not None:
         return s.phi * s.phi, 2.0 * s.phi * s.phidot
-    return intensity(s, p)
+    Phi = reconstruct_phi(s, p)
+    return Phi, reconstruct_phi_dot(s, Phi)
 
 
 def total_energy(s: ReducedState, p: Params) -> float:

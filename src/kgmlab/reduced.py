@@ -56,7 +56,6 @@ __all__ = [
     "PHI_FLOOR",
     "accel_reduced",
     "below_phi_floor",
-    "intensity",
     "phi_identity_check",
     "reconstruct_phi",
     "reconstruct_phi_dot",
@@ -150,13 +149,6 @@ def _phi_dot(s: ReducedState | Fields, Phi: Array, div_b: Array | None = None,
     Phidot -= div_b * Phi
     Phidot /= s.B[0]
     return Phidot
-
-
-def intensity(s: ReducedState | Fields, p: Params) -> tuple[Array, Array]:
-    """(reconstruct_phi, reconstruct_phi_dot), past one B_0 floor scan."""
-    guard_b0_floor(s.B[0], s.t)
-    Phi = _phi(s, p)
-    return Phi, _phi_dot(s, Phi)
 
 
 def accel_reduced(s: ReducedState | Fields, p: Params) -> Array:

@@ -10,11 +10,12 @@ fancy-indexed sublattices, `.mean()` and scipy's `solve_banded`, which the
 package's direct LAPACK call must match bit for bit.
 
 The truncated Fock space is referenced the same way: an `itertools`
-enumeration with a dict index, per-state ladder loops, and the generator
-built as sparse products of cached lowering-matrix powers.  A polynomial
-system's right-hand side keeps its earlier form, the monomial values
-summed into their variables by a sparse 0/1 scatter matrix, which the
-package's scatter-free sum must match bit for bit.
+enumeration with a dict index, per-state ladder loops, each raise as the
+inverse of the basis's lowering map, and the generator built as sparse
+products of cached lowering-matrix powers.  A polynomial system's
+right-hand side keeps its earlier form, the monomial values summed into
+their variables by a sparse 0/1 scatter matrix, which the package's
+scatter-free sum must match bit for bit.
 """
 
 from __future__ import annotations
@@ -132,6 +133,16 @@ def reference_states(k, cutoff):
     return sorted(tuple(modes.count(l) for l in range(k))
                   for total in range(cutoff + 1)
                   for modes in itertools.combinations_with_replacement(range(k), total))
+
+
+def raise_rows(basis):
+    """Each mode's raise as an index map, the inverse of its `down` row:
+    the row one quantum higher, -1 where that state leaves the basis."""
+    up = np.full_like(basis.down, -1)
+    for l, down in enumerate(basis.down):
+        lowered = np.flatnonzero(down >= 0)
+        up[l, down[lowered]] = lowered
+    return up
 
 
 def reference_ladder(k, cutoff):

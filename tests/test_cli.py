@@ -470,8 +470,8 @@ def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
     # the energy drift and the charge-balance residual read one intensity,
     # formed for stacked blocks of snapshots
     calls = []
-    real = diagnostics.intensity
-    monkeypatch.setattr(diagnostics, "intensity",
+    real = diagnostics.reconstruct_phi
+    monkeypatch.setattr(diagnostics, "reconstruct_phi",
                         lambda s, p: calls.extend(s.t) or real(s, p))
     traj = ladder_level(RunConfig(grid=Grid1D(n=32), t_end=0.25))[1]
     assert calls == list(traj.times)

@@ -37,7 +37,6 @@ from kgmlab.reduced import (
     PHI_FLOOR,
     DegenerateClosure,
     accel_reduced,
-    intensity,
     phi_identity_check,
     reconstruct_phi,
     reconstruct_phi_dot,
@@ -341,7 +340,8 @@ def test_blocks_are_bit_identical_to_one_state_calls(amplitudes, width):
 
         for members, f in red.blocks():
             assert f.B.shape == (4, members.stop - members.start, g.n)
-            Phi, Phidot = intensity(f, p)
+            Phi = reconstruct_phi(f, p)
+            Phidot = reconstruct_phi_dot(f, Phi)
             acc = accel_reduced(f, p)
             ident = phi_identity_check(f, acc, p)
             for m, s in enumerate(red.states[members]):
@@ -389,7 +389,7 @@ def test_block_guards_name_the_first_failing_member():
         accel_reduced(packets[1], p)
     assert str(alone.value).endswith("at grid index 5, t=0.1")
     (_, f), = Trajectory(states=tuple(packets)).blocks()
-    for call in (lambda: intensity(f, p),
+    for call in (lambda: reconstruct_phi_dot(f, reconstruct_phi(f, p)),
                  lambda: accel_reduced(f, p),
                  lambda: current_residual(Trajectory(states=tuple(packets)), p)):
         with pytest.raises(GuardViolation) as err:

@@ -9,7 +9,8 @@ snapshot array changes its run's digest.
 
 The Carleman layer is pinned array by array as well (`ARRAYS`), since its
 commands print only a few digits of each error: the n = 2 embedding's
-Fock basis at cutoff 4, the CSR arrays of its recentred generator at
+Fock basis at cutoff 4 (its occupations, `down` and the raise rows
+inverted from `down`), the CSR arrays of its recentred generator at
 cutoffs 3 and 4, and both classical-oracle readings.  Each array enters
 its digest as dtype, shape and C-order bytes.
 
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from conftest import raise_rows
 
 from kgmlab.carleman import (
     FockBasis,
@@ -93,7 +95,8 @@ def _oracles() -> list[np.ndarray]:
 
 def _basis() -> list[np.ndarray]:
     basis = FockBasis(k=24, cutoff=4)
-    return [basis.states, basis.down, basis.up]
+    # the raise maps, inverted from down, stay pinned as the third array
+    return [basis.states, basis.down, raise_rows(basis)]
 
 
 # name -> the arrays it pins, computed on demand
