@@ -10,7 +10,8 @@ snapshot array changes its run's digest.
 The Carleman layer is pinned array by array as well (`ARRAYS`), since its
 commands print only a few digits of each error: the n = 2 embedding's
 Fock basis at cutoff 4 (its occupations, `down` and the raise rows
-inverted from `down`), the CSR arrays of its recentred generator at
+inverted from `down`), the n = 4 embedding's 48-mode basis at cutoff 3
+(occupations and `down`), the CSR arrays of its recentred generator at
 cutoffs 3 and 4, and both classical-oracle readings.  Each array enters
 its digest as dtype, shape and C-order bytes.
 
@@ -99,9 +100,16 @@ def _basis() -> list[np.ndarray]:
     return [basis.states, basis.down, raise_rows(basis)]
 
 
+def _large_basis() -> list[np.ndarray]:
+    # one mode per variable of the n = 4 embedding, past cutoff 2
+    basis = FockBasis(k=48, cutoff=3)
+    return [basis.states, basis.down]
+
+
 # name -> the arrays it pins, computed on demand
 ARRAYS = {
     "FockBasis(24, 4) states down up": _basis,
+    "FockBasis(48, 3) states down": _large_basis,
     "build_m(recenter(embedding), cutoff 3) indptr indices data": lambda: _generator(3),
     "build_m(recenter(embedding), cutoff 4) indptr indices data": lambda: _generator(4),
     "classical_flow(embedding, 0.05, 1e-4) reciprocal_drift(embedding, 0.5)": _oracles,
