@@ -242,10 +242,11 @@ class FockBasis:
     (dim, k) view of mode-major storage, so `states.T[l]` is mode l's
     occupations as one contiguous row.  `down[l]` maps each row to the row
     with one quantum less in mode l, -1 where mode l is empty; a raise is
-    its inverse, ranked only to fill it.  Both are read-only.  The
-    occupation rows are built from links: each state is its first mode's
-    occupation and a link to its tail, a state of the later modes, so mode
-    l's row is one 1-D gather per level down that chain.
+    its inverse, ranked only to fill it, by one suffix sum of shell counts.
+    Both are read-only.  The occupation rows are built from links: each
+    state is its first mode's occupation and a link to its tail, a state
+    of the later modes, so mode l's row is one 1-D gather per level down
+    that chain.
     """
 
     k: int
@@ -263,26 +264,17 @@ class FockBasis:
         dim = len(total)
         assert dim == math.comb(cutoff + k, k)
 
-        # tail[l, p] counts the rows over modes l..k-1 with total <= cutoff - p,
-        # so a row n has  sum_j tail[j, P_j] - tail[j, P_{j+1}]  rows before
-        # it, where P_j = n_0 + .. + n_{j-1} (`before`; P_{j+1} is `after`).
-        # Raising mode l keeps the terms below l, ends term l at P_{l+1} + 1
-        # and shifts every later term to tail[j, P_j + 1] - tail[j, P_{j+1} + 1],
-        # so one prefix sum of the terms and one suffix sum of the shifted
-        # terms rank all k raises, whose inverses are the lowerings
-        tail = np.array([[math.comb(cutoff - p + k - l, k - l) for p in range(cutoff + 1)]
-                         for l in range(k)], dtype=np.int64)
+        # a row's rank is its index, and raising mode l of a row n below the
+        # top shell lands at n + sum_{j>=l} count[j, A_j] - count[j+1, A_j], with
+        # A_j = n_0 + .. + n_j (`after`) and count[k] = 0; by Pascal's rule each
+        # term is count[j, A_j + 1], so one suffix sum ranks all k raises
+        count = _shell_counts(k, cutoff)
         modes = np.arange(k)[:, None]
         down = np.full((k, dim), -1, dtype=np.int32 if dim <= 2**31 - 1 else np.int64)
         below = np.flatnonzero(total < cutoff)
-        occ = occupation[:, below]
-        after = np.cumsum(occ, axis=0, dtype=np.intp)
-        before = after - occ
-        kept = tail[modes, before] - tail[modes, after]
-        shifted = tail[modes, before + 1] - tail[modes, after + 1]
-        prefix = np.cumsum(kept, axis=0) - kept
-        suffix = np.cumsum(shifted[::-1], axis=0)[::-1] - shifted
-        to = prefix + tail[modes, before] - tail[modes, after + 1] + suffix
+        after = np.cumsum(occupation[:, below], axis=0, dtype=np.intp)
+        to = np.cumsum(count[modes, after + 1][::-1], axis=0)[::-1]
+        to += below
         down[modes, to] = below
         occupation.flags.writeable = False
         for name, arr in (("states", occupation.T), ("down", down)):
@@ -292,6 +284,13 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+
+def _shell_counts(k: int, cutoff: int) -> np.ndarray:
+    """count[j, p], the number of states of modes j..k-1 with total exactly
+    cutoff - p: FockBasis ranks its raises from it, and readout its quanta."""
+    return np.array([[math.comb(cutoff - p + k - j - 1, k - j - 1) for p in range(cutoff + 1)]
+                     for j in range(k)], dtype=np.int64)
 
 
 def _occupations(k: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -421,15 +420,22 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     amplitude(n) = exp(-|xi0|^2 / 2) * prod_i xi0_i^{n_i} / sqrt(n_i!).
     The untruncated vector has unit norm, so the weight missing from the
     truncated one measures the tail; more than 1e-12 of it draws a warning.
+    An amplitude whose weight |xi0|^2 or powers up to the cutoff are not
+    finite floats raises NonFinite.
     """
     xi0 = np.asarray(xi0, dtype=complex)
     if xi0.shape != (basis.k,):
         raise ValueError("need one amplitude per mode")
     # xi0^n / sqrt(n!) by recurrence: n! itself overflows a float past n = 170
     factor = np.ones((basis.k, basis.cutoff + 1), dtype=complex)
-    for n in range(1, basis.cutoff + 1):
-        factor[:, n] = factor[:, n - 1] * xi0 / math.sqrt(n)
-    v = np.full(basis.dim, math.exp(-0.5 * float(np.sum(np.abs(xi0) ** 2))), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, basis.cutoff + 1):
+            factor[:, n] = factor[:, n - 1] * xi0 / math.sqrt(n)
+        weight = float(np.sum(np.abs(xi0) ** 2))
+    if not (math.isfinite(weight) and np.isfinite(factor).all()):
+        raise NonFinite(f"coherent amplitude {xi0} has no finite coherent vector at cutoff "
+                        f"{basis.cutoff}: |xi0|^2 or a power xi0^n / sqrt(n!) is not finite")
+    v = np.full(basis.dim, math.exp(-0.5 * weight), dtype=complex)
     for l, occ in enumerate(basis.states.T):
         v *= factor[l].take(occ)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(v) ** 2)))
@@ -483,8 +489,8 @@ def readout(v: Array, basis: FockBasis) -> Array:
         )
     out = np.zeros(basis.k, dtype=complex)
     if basis.cutoff:
-        # one quantum in mode l = k - j follows every state of the j - 1 later modes
-        out[:] = v[[math.comb(basis.cutoff - 1 + j, j - 1) for j in range(basis.k, 0, -1)]] / vac
+        # one quantum in mode l follows the count[l, 0] states of modes l+1..k-1 alone
+        out[:] = v[_shell_counts(basis.k, basis.cutoff)[:, 0]] / vac
     return out
 
 
@@ -492,8 +498,8 @@ def fock_readout(sys: PolySystem, x0: Array, t_end: float, cutoff: int) -> tuple
     """(Fock dimension, readout at t_end) of the coherent state at x0
     evolved under the system's generator at the given cutoff."""
     basis = FockBasis(k=sys.k, cutoff=cutoff)
-    v = evolve(build_m(sys, basis), coherent_vector(x0, basis), t_end)
-    return basis.dim, readout(v, basis)
+    v0 = coherent_vector(x0, basis)
+    return basis.dim, readout(evolve(build_m(sys, basis), v0, t_end), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,14 @@ class Grid1D:
     length: float = 2.0 * np.pi
 
     def __post_init__(self) -> None:
-        # each message starts with the field name, as in Params
+        # each message starts with the field name, as in Params; the
+        # stencils and the screened solve divide by h * h
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n: must be a power of two >= 2, got {self.n}")
-        if not (self.length > 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"length: must be positive and finite, got {self.length}")
+        h = float(self.h)
+        if not (self.length > 0.0 and _invertible(h * h)):
+            raise ValueError(f"length: must be positive, with h * h and 1 / (h * h) finite "
+                             f"and nonzero for h = length / n, got {self.length}")
 
     @property
     def h(self) -> float:
@@ -84,11 +87,26 @@ class Params:
     m: float = 1.0
 
     def __post_init__(self) -> None:
-        # each message starts with the field name, for a config error to name
-        checks = (("e", self.e != 0.0, "finite and nonzero"), ("m", True, "finite"))
+        # each message starts with the field name, for a config error to name;
+        # the rates form e**2 and m**2 and divide by e**2
+        checks = (("e", _invertible(square(self.e)), "e**2 and 1 / e**2 finite and nonzero"),
+                  ("m", math.isfinite(square(self.m)), "m**2 finite"))
         for name, ok, need in checks:
-            if not (ok and np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name}: must be {need}, got {getattr(self, name)!r}")
+            if not ok:
+                raise ValueError(f"{name}: must have {need}, got {getattr(self, name)!r}")
+
+
+def square(x: float) -> float:
+    """float(x)**2 as the rates form e**2 and m**2, inf where it overflows."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _invertible(sq: float) -> bool:
+    """Whether a square is finite and nonzero with a finite reciprocal."""
+    return sq != 0.0 and math.isfinite(sq) and math.isfinite(1.0 / sq)
 
 
 # the reconstruction chain divides by B_0; below this anywhere a run stops

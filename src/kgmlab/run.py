@@ -34,7 +34,7 @@ from .kernel import (
     guard_b0_floor,
 )
 from .reduced import run_reduced
-from .scenarios import ScenarioSpec, default_scenario, make_scenario
+from .scenarios import ScenarioSpec, default_scenario, make_scenario, packet_exponent
 
 __all__ = [
     "CONFIG_KEYS",
@@ -139,6 +139,11 @@ class RunConfig:
         for key, value in (("time.dt", self.dt), ("time.t_end", self.t_end)):
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
+        if (self.scenario.name == "matter-packet"
+                and not math.isfinite(packet_exponent(self.scenario, self.grid))):
+            raise ConfigError(f"scenario.width: must keep the packet exponent "
+                              f"2 (length / (2 pi width))**2 finite at grid.length = "
+                              f"{self.grid.length!r}, got {self.scenario.width!r}")
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, object]) -> "RunConfig":

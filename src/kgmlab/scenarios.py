@@ -52,6 +52,7 @@ from .kernel import (
     Params,
     SimulationError,
     deriv_x,
+    square,
 )
 
 # Matter-packet shape constants.  The pedestal keeps phi (hence Phi) bounded
@@ -307,13 +308,18 @@ def solve_gauss_rate(
 # scenario assembly
 
 
+def packet_exponent(spec: ScenarioSpec, g: Grid1D) -> float:
+    """The matter packet's beta = 2 (length / (2 pi width))**2, which makes
+    the exponent beta (cos(theta) - 1) read -(x - x0)^2 / width^2 near the
+    center; inf where the square overflows."""
+    return 2.0 * square(g.length / (2.0 * np.pi * spec.width))
+
+
 def _packet_fields(spec: ScenarioSpec, g: Grid1D) -> tuple[Array, Array]:
     """(phi, B_i rows) for the matter packet."""
     x = g.x()
     theta = 2.0 * np.pi * (x - 0.5 * g.length) / g.length
-    # near the center the exponent is -(x - x0)^2 / width^2
-    beta = 2.0 * (g.length / (2.0 * np.pi * spec.width)) ** 2
-    bump = np.exp(beta * (np.cos(theta) - 1.0))
+    bump = np.exp(packet_exponent(spec, g) * (np.cos(theta) - 1.0))
     phi = spec.amplitude * (PACKET_PEDESTAL + bump)
 
     k = spec.wavenumber * 2.0 * np.pi / g.length

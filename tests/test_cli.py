@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -324,6 +325,36 @@ def test_non_finite_or_out_of_range_number_exits_2(tmp_path, capsys, line, flags
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "params.e = 1e200",
+    "params.m = 1e300",
+    "grid.length = 1e300",
+    "scenario.width = 1e-300",
+    "grid.length = 1e-200",
+    "params.e = 1e-170",
+], ids=["e-square-overflows", "m-square-overflows", "h-square-overflows",
+        "packet-exponent-overflows", "h-square-vanishes", "e-square-vanishes"])
+def test_finite_number_whose_square_leaves_float_range_exits_2(tmp_path, capsys, line):
+    # e**2 and h * h must be finite and nonzero with finite reciprocals, and
+    # m**2 and the packet exponent 2 (length / (2 pi width))**2 finite;
+    # otherwise a run would end in a traceback or a numpy warning
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run-reduced", "--config", str(cfg_file), "--n", "16", "--dt", "1e-3",
+                     "--t-end", "1e-3", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]}: ")
+
+
+def test_coherent_amplitude_past_float_range_exits_1(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["carleman", "riccati", "--xi0", "1e200"]) == 1
+    assert capsys.readouterr().err.startswith("error: coherent amplitude ")
 
 
 def test_bad_flag_exits_2(capsys):
