@@ -421,7 +421,8 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     The untruncated vector has unit norm, so the weight missing from the
     truncated one measures the tail; more than 1e-12 of it draws a warning.
     An amplitude whose weight |xi0|^2 or powers up to the cutoff are not
-    finite floats raises NonFinite.
+    finite floats raises NonFinite; one whose vacuum weight exp(-|xi0|^2 / 2)
+    underflows to zero raises VacuumOrthogonal.
     """
     xi0 = np.asarray(xi0, dtype=complex)
     if xi0.shape != (basis.k,):
@@ -435,7 +436,10 @@ def coherent_vector(xi0: Array, basis: FockBasis) -> Array:
     if not (math.isfinite(weight) and np.isfinite(factor).all()):
         raise NonFinite(f"coherent amplitude {xi0} has no finite coherent vector at cutoff "
                         f"{basis.cutoff}: |xi0|^2 or a power xi0^n / sqrt(n!) is not finite")
-    v = np.full(basis.dim, math.exp(-0.5 * weight), dtype=complex)
+    vacuum = math.exp(-0.5 * weight)
+    if vacuum == 0.0:
+        raise VacuumOrthogonal(f"coherent amplitude {xi0} has vacuum weight exp(-|xi0|^2 / 2) = 0")
+    v = np.full(basis.dim, vacuum, dtype=complex)
     for l, occ in enumerate(basis.states.T):
         v *= factor[l].take(occ)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(v) ** 2)))

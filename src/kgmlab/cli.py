@@ -145,14 +145,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             raise ConfigError(f"--levels: grid size {n} appears more than once")
 
     # each level runs on its own comb step, which never exceeds COMB_FRACTION * h
-    results = [ladder_level(replace(cfg, grid=g, dt=0.0))[0] for g in grids]
+    results = [ladder_level(replace(cfg, grid=g, dt=0.0)) for g in grids]
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ("n", "h", "equivalence", "energy_drift_full",
-              "energy_drift_reduced", "current_residual_full",
-              "current_residual_reduced")
-    print(write_table(out_dir / "convergence.csv", header,
+    print(write_table(out_dir / "convergence.csv", ("n", *LEVEL_KEYS),
                       ([g.n, *(level[key] for key in LEVEL_KEYS)]
                        for g, level in zip(grids, results))), end="")
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgmlab import cli, diagnostics
+from kgmlab import carleman, cli, diagnostics, run
+from kgmlab.carleman import FockBasis, VacuumOrthogonal, coherent_vector
 from kgmlab.cli import (
     ConfigError,
     FormatVersionMismatch,
@@ -28,6 +29,7 @@ from kgmlab.cli import (
     write_snapshot,
 )
 from kgmlab.kernel import COMB_FRACTION, FullState, Grid1D, Params, ReducedState
+from kgmlab.reduced import accel_reduced, phi_identity_check
 from kgmlab.scenarios import default_scenario, make_scenario
 
 
@@ -357,6 +359,22 @@ def test_coherent_amplitude_past_float_range_exits_1(capsys):
     assert capsys.readouterr().err.startswith("error: coherent amplitude ")
 
 
+def test_coherent_amplitude_whose_vacuum_weight_underflows_exits_1(monkeypatch, capsys):
+    # exp(-|xi0|^2 / 2) is 0 in floats at xi0 = 40: refused where the vector
+    # is formed, with no tail warning and before any M is built
+    with pytest.raises(VacuumOrthogonal, match="coherent amplitude"):
+        coherent_vector(np.array([40.0]), FockBasis(1, 16))
+
+    def no_m(*args):
+        raise AssertionError("build_m ran")
+
+    monkeypatch.setattr(carleman, "build_m", no_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["carleman", "riccati", "--xi0", "40"]) == 1
+    assert capsys.readouterr().err.startswith("error: coherent amplitude [40.+0.j] ")
+
+
 def test_bad_flag_exits_2(capsys):
     assert main(["run-full", "--no-such-flag"]) == 2
     capsys.readouterr()
@@ -466,22 +484,29 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
     assert out.startswith("n,h,equivalence")
     assert "observed_order[equivalence]" in out
     assert (tmp_path / "v" / "convergence.csv").read_text().startswith("n,h,")
+    # one set of names: the CSV header and the order labels are LEVEL_KEYS
+    header = ",".join(("n", *run.LEVEL_KEYS))
+    assert (tmp_path / "v" / "convergence.csv").read_text().splitlines()[0] == header
+    assert out.splitlines()[0] == header
+    for name in run.LEVEL_KEYS[1:]:
+        assert f"observed_order[{name}] " in out
 
 
 def test_convergence_prints_undefined_for_a_non_finite_error(monkeypatch, tmp_path, capsys):
     # an energy drift that overflowed on one level has no order to fit
     def level(cfg):
         h = cfg.grid.h
-        return {"h": h, "equivalence": h * h, "energy_full": math.inf,
-                "energy_reduced": h * h, "current_full": h, "current_reduced": math.nan}, None
+        return {"h": h, "equivalence": h * h, "energy_drift_full": math.inf,
+                "energy_drift_reduced": h * h, "current_residual_full": h,
+                "current_residual_reduced": math.nan, "identity_residual": h * h}
 
     monkeypatch.setattr(cli, "ladder_level", level)
     assert main(["convergence", "--levels", "32,64", "--out", str(tmp_path / "v")]) == 0
     out = capsys.readouterr().out
     assert "observed_order[equivalence] = 2.000" in out
-    assert "observed_order[energy_reduced] = 2.000" in out
-    assert "observed_order[current_full] = 1.000" in out
-    for name in ("energy_full", "current_reduced"):
+    assert "observed_order[energy_drift_reduced] = 2.000" in out
+    assert "observed_order[current_residual_full] = 1.000" in out
+    for name in ("energy_drift_full", "current_residual_reduced"):
         assert (f"observed_order[{name}] undefined: spacings and errors must be "
                 "positive and finite") in out
 
@@ -500,12 +525,27 @@ def test_convergence_refuses_a_repeated_grid_size(tmp_path, capsys, levels):
 def test_ladder_level_reconstructs_phi_once_per_reduced_snapshot(monkeypatch):
     # the energy drift and the charge-balance residual read one intensity,
     # formed for stacked blocks of snapshots
+    cfg = RunConfig(grid=Grid1D(n=32), t_end=0.25)
+    times = list(run.integrate(cfg, "reduced").times)
     calls = []
     real = diagnostics.reconstruct_phi
     monkeypatch.setattr(diagnostics, "reconstruct_phi",
                         lambda s, p: calls.extend(s.t) or real(s, p))
-    traj = ladder_level(RunConfig(grid=Grid1D(n=32), t_end=0.25))[1]
-    assert calls == list(traj.times)
+    ladder_level(cfg)
+    assert calls == times
+
+
+def test_ladder_level_identity_is_the_block_pass_over_the_reduced_run():
+    # the reference: the intensity identity's peak over stacked blocks of
+    # the reduced snapshots, one pass per block
+    cfg = RunConfig(grid=Grid1D(n=32), t_end=0.25)
+    identity = 0.0
+    for _, f in run.integrate(cfg, "reduced").blocks():
+        resid = phi_identity_check(f, accel_reduced(f, cfg.params), cfg.params)
+        identity = max(identity, float(np.max(resid)))
+    level = ladder_level(cfg)
+    assert set(level) == set(run.LEVEL_KEYS)
+    assert level["identity_residual"] == identity
 
 
 @pytest.mark.parametrize("flag", ["--n", "--dt"])
