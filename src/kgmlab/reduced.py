@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import (
+    B0_FLOOR,
     Array,
     Fields,
     Params,
@@ -102,18 +103,14 @@ def reconstruct_phi(s: ReducedState | Fields, p: Params) -> Array:
     (frequency ~ 1/h^2) that no explicit step at dt ~ h can resolve.  The
     composed form keeps every branch inside the wave cone.
     """
+    g = s.grid
     guard_b0_floor(s.B[0], s.t)
-    return _phi(s, p)
+    return _phi(s, p, deriv_x(deriv_x(s.B[0], g), g), deriv_x(s.Bdot[1], g))
 
 
-def _phi(s: ReducedState | Fields, p: Params, dd_b0: Array | None = None,
-         d_bd1: Array | None = None) -> Array:
+def _phi(s: ReducedState | Fields, p: Params, dd_b0: Array, d_bd1: Array) -> Array:
     """reconstruct_phi past the B_0 floor scan, given D(D B_0) and
-    D(dB_1/dt) when the caller has them."""
-    if dd_b0 is None:
-        dd_b0 = deriv_x(deriv_x(s.B[0], s.grid), s.grid)
-    if d_bd1 is None:
-        d_bd1 = deriv_x(s.Bdot[1], s.grid)
+    D(dB_1/dt)."""
     Phi = dd_b0 - d_bd1
     Phi /= 2.0 * p.e**2
     Phi += s.charge_mean
@@ -133,18 +130,13 @@ def reconstruct_phi_dot(s: ReducedState | Fields, Phi: Array) -> Array:
     this is the form whose coefficient structure the closure differentiates,
     and diagnostics measure the Leibniz defect of exactly this choice.
     """
+    g = s.grid
     guard_b0_floor(s.B[0], s.t)
-    return _phi_dot(s, Phi)
+    return _phi_dot(s, Phi, s.Bdot[0] - deriv_x(s.B[1], g), deriv_x(Phi, g))
 
 
-def _phi_dot(s: ReducedState | Fields, Phi: Array, div_b: Array | None = None,
-             dPhi: Array | None = None) -> Array:
-    """reconstruct_phi_dot past the B_0 floor scan, given div B and D(Phi)
-    when the caller has them."""
-    if div_b is None:
-        div_b = s.Bdot[0] - deriv_x(s.B[1], s.grid)
-    if dPhi is None:
-        dPhi = deriv_x(Phi, s.grid)
+def _phi_dot(s: ReducedState | Fields, Phi: Array, div_b: Array, dPhi: Array) -> Array:
+    """reconstruct_phi_dot past the B_0 floor scan, given div B and D(Phi)."""
     Phidot = s.B[1] * dPhi
     Phidot -= div_b * Phi
     Phidot /= s.B[0]
@@ -184,9 +176,9 @@ def accel_reduced(s: ReducedState | Fields, p: Params) -> Array:
     d_bd1 = deriv_x(bd1, g)
     second = deriv_x(first, g)
 
-    Phi = _phi(s, p, dd_b0=second[0], d_bd1=d_bd1)
+    Phi = _phi(s, p, second[0], d_bd1)
     dPhi = deriv_x(Phi, g)
-    Phidot = _phi_dot(s, Phi, div_b=div_b, dPhi=dPhi)
+    Phidot = _phi_dot(s, Phi, div_b, dPhi)
     dPhidot = deriv_x(Phidot, g)
 
     acc = np.empty_like(B)
@@ -282,7 +274,9 @@ def run_reduced(s0: ReducedState, dt: float, t_end: float, p: Params,
     """Integrate to t_end, snapshotting every `every` steps (plus endpoints);
     see kernel.run_trajectory for the step comb and error reporting.  The
     run starts from s0.to_reduced(), so a FullState's snapshots are reduced
-    too."""
+    too.  Each step divides by B_0: a start state with |B_0| < 2*B0_FLOOR
+    anywhere raises GuardViolation before the first step, for every caller."""
+    guard_b0_floor(s0.B[0], s0.t, 2.0 * B0_FLOOR)
     return run_trajectory(step_reduced, s0.to_reduced(), dt, t_end, p, every)
 
 
@@ -332,6 +326,6 @@ def phi_identity_check(s: ReducedState | Fields, B_ddot: Array, p: Params) -> Ar
     np.divide(-contracted / (2.0 * e2) + b0 * s.charge_mean, bsq,
               out=phi_from_eom, where=~low)
 
-    resid = np.abs(phi_from_eom - _phi(s, p, d_bd1=d_bdot[1]))
+    resid = np.abs(phi_from_eom - _phi(s, p, deriv_x(deriv_x(b0, g), g), d_bdot[1]))
     resid[low] = 0.0
     return resid

@@ -83,8 +83,8 @@ class ScenarioSpec:
 
     offset is the additive constant c applied to B_0.  The full system runs
     any offset; a reduced run needs |B_0| to clear 2*kernel.B0_FLOOR
-    everywhere on the assembled slice, and run.integrate refuses its start
-    state otherwise.
+    everywhere on the assembled slice, and reduced.run_reduced refuses its
+    start state otherwise.
     """
 
     name: str

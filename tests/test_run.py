@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgmlab import checks, run
+from kgmlab import checks, reduced, run
 from kgmlab.cli import main
 from kgmlab.kernel import B0_FLOOR, Grid1D, GuardViolation, Params
 from kgmlab.scenarios import default_scenario, make_scenario
@@ -37,6 +37,39 @@ def test_reduced_run_refuses_a_start_state_the_full_run_steps_from():
         run.integrate(cfg, "reduced")
     assert str(err.value).startswith("|B_0| = ")
     assert str(err.value).endswith(f"at grid index {j}, t=0")
+
+
+def offset_config(offset: float) -> run.RunConfig:
+    # a uniform B_0 = offset: min |B_0| sits at grid index 0
+    return run.RunConfig(grid=Grid1D(n=32), dt=0.01, t_end=0.04,
+                         scenario=replace(default_scenario("vacuum-offset"), offset=offset))
+
+
+def test_run_reduced_refuses_below_twice_the_floor_for_every_caller(monkeypatch):
+    # the library call refuses what `kgmlab run-reduced` refuses, in the
+    # same words, before its first step
+    def no_step(*args):
+        pytest.fail("run_reduced stepped a start state below 2*B0_FLOOR")
+
+    monkeypatch.setattr(reduced, "step_reduced", no_step)
+    cfg = offset_config(1.5e-6)
+    s0 = make_scenario(cfg.scenario, cfg.params, cfg.grid)
+    message = "|B_0| = 1.500e-06 < floor 2.000e-06 at grid index 0, t=0"
+    with pytest.raises(GuardViolation) as err:
+        reduced.run_reduced(s0, cfg.dt, cfg.t_end, cfg.params)
+    assert str(err.value) == message
+    with pytest.raises(GuardViolation) as err:
+        run.integrate(cfg, "reduced")
+    assert str(err.value) == message
+
+
+def test_run_reduced_runs_a_start_state_above_twice_the_floor():
+    cfg = offset_config(2.5e-6)
+    s0 = make_scenario(cfg.scenario, cfg.params, cfg.grid)
+    for traj in (reduced.run_reduced(s0, cfg.dt, cfg.t_end, cfg.params),
+                 run.integrate(cfg, "reduced")):
+        assert traj.times[-1] == pytest.approx(cfg.t_end, abs=1e-12)
+        assert len(traj.states) == 5
 
 
 @pytest.mark.parametrize("key, value", [
