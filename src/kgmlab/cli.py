@@ -149,9 +149,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    print(write_table(out_dir / "convergence.csv", ("n", *LEVEL_KEYS),
-                      ([g.n, *(level[key] for key in LEVEL_KEYS)]
-                       for g, level in zip(grids, results))), end="")
+    table = write_table(out_dir / "convergence.csv", ("n", *LEVEL_KEYS),
+                        ([g.n, *(level[key] for key in LEVEL_KEYS)]
+                         for g, level in zip(grids, results)))
+    # the file keeps the csv module's \r\n rows; stdout ends every line in \n
+    print(*table.splitlines(), sep="\n")
 
     for name in LEVEL_KEYS[1:]:
         pairs = [(level["h"], level[name]) for level in results]

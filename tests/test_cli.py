@@ -492,6 +492,16 @@ def test_convergence_emits_csv_and_orders(tmp_path, capsys):
         assert f"observed_order[{name}] " in out
 
 
+def test_convergence_prints_one_line_ending(tmp_path, capsys):
+    # the CSV file keeps \r\n rows; stdout ends every line, table rows
+    # included, in \n alone
+    assert main(["convergence", "--levels", "16,32", "--t-end", "0.05",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    assert out.startswith((tmp_path / "convergence.csv").read_text())
+
+
 def test_convergence_prints_undefined_for_a_non_finite_error(monkeypatch, tmp_path, capsys):
     # an energy drift that overflowed on one level has no order to fit
     def level(cfg):
