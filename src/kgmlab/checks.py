@@ -96,7 +96,7 @@ def _orders_both(metric: str, label: str) -> tuple[bool, str]:
 
 def _check_gauge_wave_regression() -> tuple[bool, str]:
     # one full period of the traveling free wave; measured 1.047 (h^2 + dt^4)
-    # return distance and 4.8e-14 peak reconstructed intensity, frozen with
+    # return distance and 5.279e-14 peak reconstructed intensity, frozen with
     # headroom at 1.5 and 0.01 h^2
     cfg = run.RunConfig(grid=Grid1D(n=64), scenario=default_scenario("pure-gauge-wave"),
                         t_end=2.0 * np.pi, every=8)
