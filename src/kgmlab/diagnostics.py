@@ -58,7 +58,7 @@ def _intensity(s: ReducedState | Fields, p: Params) -> tuple[Array, Array]:
     return Phi, reconstruct_phi_dot(s, Phi)
 
 
-def total_energy(s: ReducedState, p: Params) -> float:
+def total_energy(s: ReducedState | Fields, p: Params) -> float | Array:
     """Grid total of the conserved canonical energy density.
 
     density = 1/2 phidot^2 + 1/2 (dphi/dx)^2 + 1/2 m^2 phi^2
@@ -77,17 +77,20 @@ def total_energy(s: ReducedState, p: Params) -> float:
     Accepts a reduced state as well, with phi^2 reconstructed; the quotient
     kinetic terms are floored to zero below reduced.PHI_FLOOR.  The grid sum uses
     exactly rounded summation so the result is independent of index origin.
+    A state gets a float; a block of K snapshots gets a (K,) array, each
+    member's total bit-identical to its one-state call.
     """
-    return math.fsum(_energy_density(s, p, *_intensity(s, p))) * s.grid.h
+    return _energy(s, p, *_intensity(s, p))
 
 
-def _energy_density(s: ReducedState | Fields, p: Params, Phi: Array,
-                    Phidot: Array) -> Array:
-    """total_energy's density rows of a state or a block, given its
-    (Phi, Phidot) from _intensity.
+def _energy(s: ReducedState | Fields, p: Params, Phi: Array,
+            Phidot: Array) -> float | Array:
+    """total_energy of a state or a block, given its (Phi, Phidot) from
+    _intensity.
 
     The mass and coupling terms read Phi for both flavors.  Full states carry
-    phi, so only a reduced state's kinetic term reads the pair.
+    phi, so only a reduced state's kinetic term reads the pair.  Each
+    member's density row is summed exactly by itself, then times h.
     """
     g = s.grid
     b0, b1, b2, b3 = s.B
@@ -108,7 +111,9 @@ def _energy_density(s: ReducedState | Fields, p: Params, Phi: Array,
                   out=kinetic, where=~below_phi_floor(Phi))
     matter = kinetic + 0.5 * (p.m**2) * Phi + 0.5 * (p.e**2) * coupling_sq * Phi
 
-    return em + matter
+    density = em + matter
+    totals = [math.fsum(row) * g.h for row in density.reshape(-1, g.n).tolist()]
+    return totals[0] if density.ndim == 1 else np.array(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +138,8 @@ def _conservation(traj: Trajectory, p: Params) -> tuple[Array, Array]:
 
     Both are evaluated on the stacked blocks of kernel.Trajectory.blocks,
     one numpy pass per block; a block's (Phi, Phidot) is dropped before the
-    next block's is formed.  Each energy row is summed exactly by itself,
-    so every number is bit-identical to its one-state evaluation.
+    next block's is formed.  Every number is bit-identical to its one-state
+    evaluation.
     """
     K = len(traj)
     g = traj.grid
@@ -145,8 +150,7 @@ def _conservation(traj: Trajectory, p: Params) -> tuple[Array, Array]:
     flux = np.empty((K, g.n))
     for members, f in traj.blocks():
         Phi, Phidot = _intensity(f, p)
-        energy[members] = [math.fsum(row) * g.h
-                           for row in _energy_density(f, p, Phi, Phidot).tolist()]
+        energy[members] = _energy(f, p, Phi, Phidot)
         q[members] = f.B[0] * Phi if K >= 3 else f.Bdot[0] * Phi + f.B[0] * Phidot
         flux[members] = f.B[1] * Phi
     dqdt = np.gradient(q, np.asarray(traj.times), axis=0, edge_order=2) if K >= 3 else q
@@ -269,7 +273,7 @@ def observed_order(errors: list[tuple[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
+def snapshot_extras(s: ReducedState | Fields, p: Params) -> dict[str, float | Array]:
     """Scalar diagnostics stored alongside each trajectory snapshot.
 
     constraint_residual is the unprojected time-0 equation defect for full
@@ -277,28 +281,32 @@ def snapshot_extras(s: ReducedState, p: Params) -> dict[str, float]:
     solver's operator) and the state-local current-divergence defect for
     reduced states (whose time-0 equation is satisfied identically by
     construction).
+
+    A state gets floats; a block of K snapshots gets (K,) arrays, each
+    member's values bit-identical to its one-state call.
     """
     g = s.grid
     e2 = p.e**2
     Phi, Phidot = _intensity(s, p)
     if s.phi is not None:
-        gauss = (
+        defect = (
             deriv_x(deriv_x(s.B[0], g), g)
             - deriv_x(s.Bdot[1], g)
             - 2.0 * e2 * (s.B[0] * Phi - s.charge_mean)
         )
-        constraint = float(np.max(np.abs(gauss)))
-        fallback = 0.0
+        fallback = np.zeros(np.shape(s.t))
     else:
         defect = s.Bdot[0] * Phi + s.B[0] * Phidot - deriv_x(s.B[1] * Phi, g)
-        constraint = float(np.max(np.abs(defect)))
-        fallback = float(np.mean(below_phi_floor(Phi)))
-    return {
-        "t": float(s.t),
-        "energy": math.fsum(_energy_density(s, p, Phi, Phidot)) * g.h,
-        "constraint_residual": constraint,
-        "min_abs_b0": float(np.min(np.abs(s.B[0]))),
-        "min_phi": float(np.min(Phi)),
+        fallback = np.mean(below_phi_floor(Phi), axis=-1)
+    extras = {
+        "t": s.t,
+        "energy": _energy(s, p, Phi, Phidot),
+        "constraint_residual": np.max(np.abs(defect), axis=-1),
+        "min_abs_b0": np.min(np.abs(s.B[0]), axis=-1),
+        "min_phi": np.min(Phi, axis=-1),
         "fallback_fraction": fallback,
-        "charge_mean": float(s.charge_mean),
+        "charge_mean": np.reshape(s.charge_mean, np.shape(s.t)),
     }
+    if np.ndim(s.t) == 0:
+        return {key: float(v) for key, v in extras.items()}
+    return extras

@@ -17,9 +17,8 @@ recomputed from the field equations wherever needed.
 A state is validated when it is built (shapes, dtypes, phi present for the
 full flavor).  Fields carries the same attribute names without any check:
 an RK4 stage inside a step, or a block of snapshots stacked by
-Trajectory.blocks.  Every rate and reconstruction reads those names, so it
-takes a state, a stage or a block alike; total_energy and snapshot_extras
-measure one state.
+Trajectory.blocks.  Every rate, reconstruction and per-snapshot diagnostic
+reads those names, so it takes a state, a stage or a block alike.
 """
 
 from __future__ import annotations

@@ -341,14 +341,16 @@ def write_table(path: str | Path, header: Iterable[str],
 
 def write_run_outputs(cfg: RunConfig, traj: Trajectory) -> None:
     """config.txt, one snapshot per state and extras.csv, whose columns are
-    the keys of snapshot_extras, under cfg.out_dir."""
+    the keys of snapshot_extras (one call per block of traj.blocks()),
+    under cfg.out_dir."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text())
     for k, state in enumerate(traj.states):
         write_snapshot(out_dir / f"snap_{k:05d}.bin", state, scenario=cfg.scenario)
-    extras = [snapshot_extras(state, cfg.params) for state in traj.states]
-    write_table(out_dir / "extras.csv", list(extras[0]), [e.values() for e in extras])
+    blocks = [snapshot_extras(f, cfg.params) for _, f in traj.blocks()]
+    extras = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    write_table(out_dir / "extras.csv", list(extras), zip(*extras.values()))
 
 
 # the grid sizes of the acceptance gate's ladder and of `kgmlab convergence`

@@ -266,12 +266,15 @@ def test_snapshot_extras_keys_and_fallback():
     matter = make_scenario(default_scenario("matter-packet"), p, g)
     ex = snapshot_extras(matter, p)
     assert set(ex) == keys
+    # a state gets Python floats, not numpy scalars or 0-d arrays
+    assert all(type(v) is float for v in ex.values())
     assert ex["fallback_fraction"] == 0.0  # full state carries phi directly
     assert ex["min_phi"] > 0.0
 
     wave = make_scenario(default_scenario("pure-gauge-wave"), p, g).to_reduced()
     ex = snapshot_extras(wave, p)
     assert set(ex) == keys
+    assert all(type(v) is float for v in ex.values())
     assert ex["fallback_fraction"] == 1.0  # vacuum: every point below floor
     assert abs(ex["min_phi"]) <= 1e-12
 
@@ -315,8 +318,9 @@ def packet_members(amplitudes, g: Grid1D, p: Params) -> list[FullState]:
        width=st.sampled_from((1, 3, 16)))
 def test_blocks_are_bit_identical_to_one_state_calls(amplitudes, width):
     # each member of a block of `width` snapshots gets the bits of its own
-    # one-state evaluation: energy and charge-balance residual for both
-    # flavors, and Phi, Phidot, the acceleration and the identity residual
+    # one-state evaluation: energy, charge-balance residual, total_energy
+    # and snapshot_extras for both flavors, and Phi, Phidot, the
+    # acceleration and the identity residual
     g, p = Grid1D(n=32), Params()
     full = Trajectory(states=tuple(packet_members(amplitudes, g, p)))
     red = Trajectory(states=tuple(s.to_reduced() for s in full.states))
@@ -326,6 +330,14 @@ def test_blocks_are_bit_identical_to_one_state_calls(amplitudes, width):
             ref_energy, ref_resid = loop_conservation(traj, p)
             assert energy.tolist() == ref_energy
             assert_array_equal(resid, ref_resid)
+
+            for members, f in traj.blocks():
+                block_energy = total_energy(f, p)
+                extras = snapshot_extras(f, p)
+                assert block_energy.shape == (members.stop - members.start,)
+                for m, s in enumerate(traj.states[members]):
+                    assert block_energy[m] == total_energy(s, p)
+                    assert {key: v[m] for key, v in extras.items()} == snapshot_extras(s, p)
 
         # the reduced members in reverse order, on the full members' times
         other = Trajectory(states=tuple(replace(s, t=a.t) for a, s in
@@ -372,10 +384,13 @@ def test_block_with_a_member_below_the_phi_floor_keeps_the_others_bits():
     acc = accel_reduced(f, p)
     ident = phi_identity_check(f, acc, p)
     energy, _ = diagnostics._conservation(Trajectory(states=states), p)
+    fallback = snapshot_extras(f, p)["fallback_fraction"]
     for m, s in enumerate(states):
         assert_array_equal(acc[:, m], accel_reduced(s, p))
         assert_array_equal(ident[m], phi_identity_check(s, acc[:, m], p))
         assert energy[m] == total_energy(s, p)
+        assert fallback[m] == snapshot_extras(s, p)["fallback_fraction"]
+    assert fallback.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_block_guards_name_the_first_failing_member():

@@ -6,12 +6,14 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kgmlab import checks, reduced, run
+from kgmlab import checks, diagnostics, kernel, reduced, run
 from kgmlab.cli import main
+from kgmlab.diagnostics import snapshot_extras
 from kgmlab.kernel import B0_FLOOR, Grid1D, GuardViolation, Params
 from kgmlab.scenarios import default_scenario, make_scenario
 
@@ -135,6 +137,26 @@ def test_integrate_writes_what_the_command_writes(tmp_path, flavor):
     # the echoes differ only in output.dir
     echoed = run.RunConfig.parse((by_command / "config.txt").read_text())
     assert echoed == replace(cfg, out_dir=str(by_command))
+
+
+@pytest.mark.parametrize("flavor", ["full", "reduced"])
+def test_extras_csv_does_not_depend_on_the_block_width(tmp_path, flavor):
+    # one snapshot_extras call per stacked block, and the bytes of the table
+    # its one-state calls write, at every block width
+    cfg = run.RunConfig(grid=Grid1D(n=64), t_end=0.3, every=2)
+    traj = run.integrate(cfg, flavor)
+    K, n = len(traj), cfg.grid.n
+    assert K >= 4
+    one_state = [snapshot_extras(s, cfg.params) for s in traj.states]
+    run.write_table(tmp_path / "ref.csv", list(one_state[0]), [e.values() for e in one_state])
+    for width in (1, 3, K + 1):
+        out = tmp_path / f"width{width}"
+        with mock.patch.object(kernel, "BLOCK_POINTS", width * n), \
+                mock.patch.object(run, "snapshot_extras",
+                                  wraps=diagnostics.snapshot_extras) as extras:
+            run.write_run_outputs(replace(cfg, out_dir=str(out)), traj)
+        assert extras.call_count == -(-K // width)
+        assert (out / "extras.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("error", [
